@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -32,6 +33,7 @@ from .bmo import (
     scale_invariant_half_sobolev,
 )
 from .coefficients import (
+    FAMILY_KINDS,
     CoefficientError,
     CoefficientField,
     extend_full,
@@ -79,10 +81,7 @@ DEFAULT_CONFIG = {
         "window_factor": 4,
     },
     "solver": {
-        "theta_re": 1.0,
-        "theta_im": 0.0,
         "tolerance": 1e-9,
-        "max_iterations": 400,
     },
     "forcing": {
         "kind": "sine",            # sine | zero | random
@@ -212,7 +211,7 @@ def _seminorm_ladder(cfg: dict, A: CoefficientField, rows: list[SeminormRow]) ->
             alpha=cfg["coefficient"]["alpha"], t0=cfg["coefficient"]["t0"],
             value=cfg["coefficient"]["value"],
             space_profile=cfg["coefficient"]["space_profile"],
-        ).column(0) if A.kind in ("constant", "sqrt_product", "holder", "lipschitz", "step") else a.resampled(n)
+        ).column(0) if A.kind in FAMILY_KINDS else a.resampled(n)
 
     def ladder(label, order, evaluate, verdict_fn=None):
         values = []
@@ -282,7 +281,6 @@ def run_solve(cfg: dict) -> RegularityReport:
     grid = TimeGrid(0.0, cfg["time"]["T"], cfg["time"]["n_points"])
     A = _build_coefficient(cfg, grid, mesh)
     f = _build_forcing(cfg, grid, mesh)
-    theta = complex(cfg["solver"]["theta_re"], cfg["solver"]["theta_im"])
     res = cauchy_solve(A, f, window_factor=cfg["time"]["window_factor"],
                        tol=cfg["solver"]["tolerance"])
     diag = res.diagnostics
@@ -302,7 +300,6 @@ def run_solve(cfg: dict) -> RegularityReport:
         "residual": diag.residual,
         "iterations": diag.iterations,
         "guard_mass_fraction": diag.guard_mass_fraction,
-        "theta": {"re": theta.real, "im": theta.imag},
     }
     if A.kind == "constant" and A.dim == 1 and norms["l2h_f"] > 0:
         ref = autonomous_oracle(A.scalar_cells()[0].real, f, theta=0.0)
@@ -502,7 +499,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except SolverError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
-        print(json.dumps(getattr(exc, "diagnostics", {}), default=str), file=sys.stderr)
+        diagnostics = dataclasses.asdict(exc.diagnostics) if exc.diagnostics is not None else {}
+        print(json.dumps(diagnostics, default=str), file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, CoefficientError, MeshError, GridError, SignalError,
             ValueError) as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fem import SpaceMesh
-from .timefourier import TimeGrid, TimeSignal
+from .timefourier import TimeGrid, TimeSignal, UniformGrid, fourier_multiplier
 
 
 class CoefficientError(ValueError):
@@ -27,7 +27,7 @@ class NotElliptic(CoefficientError):
 
 @dataclass
 class CoefficientField:
-    time_grid: TimeGrid
+    time_grid: UniformGrid
     mesh: SpaceMesh
     values: np.ndarray  # (nt, nx, d, d) complex
     lam: float
@@ -133,30 +133,14 @@ def extend_reflect(A: CoefficientField) -> CoefficientField:
     out[0] = vals[n - 1]                       # t = -T
     out[2 * n + 1 :] = vals[1:][::-1]          # (T, 2T): A(2T - t)
     out[2 * n] = vals[n - 1]                   # t = T
-    # 3n is never a power of two: the reflected block lives on a raw uniform
-    # grid; it is a sample container, never an FFT carrier.
+    # 3n is never a power of two: the reflected block is a sample container
+    # on a plain uniform grid, never an FFT carrier.
     return replace(
         A,
-        time_grid=_RawGrid(-A.T, 2 * A.T, 3 * n),
+        time_grid=UniformGrid(-A.T, 2 * A.T, 3 * n),
         values=out,
         kind=A.kind + "+reflect",
     )
-
-
-class _RawGrid(TimeGrid):
-    """Uniform grid without the power-of-two restriction.
-
-    Used only for the intermediate [-T, 2T) reflection block, which is a
-    sample container, never an FFT carrier.
-    """
-
-    def __init__(self, t_start: float, t_end: float, n_points: int):
-        object.__setattr__(self, "t_start", t_start)
-        object.__setattr__(self, "t_end", t_end)
-        object.__setattr__(self, "n_points", n_points)
-
-    def __post_init__(self):  # pragma: no cover - bypassed
-        pass
 
 
 def extend_full(A: CoefficientField, window_factor: int = 4) -> CoefficientField:
@@ -217,9 +201,7 @@ def mollify(A: CoefficientField, n: int) -> CoefficientField:
     A convex average of samples: the ellipticity certificate carries over.
     """
     kern = mollifier_kernel(A.time_grid, n)
-    khat = np.fft.fft(kern)
-    vhat = np.fft.fft(A.values, axis=0)
-    smoothed = np.fft.ifft(vhat * khat[:, None, None, None], axis=0) * A.time_grid.dt
+    smoothed = fourier_multiplier(A.values, np.fft.fft(kern)) * A.time_grid.dt
     return replace(A, values=smoothed, kind=A.kind + f"+mollify{n}")
 
 

@@ -14,8 +14,8 @@ from .bmo import bmo_seminorm, dyadic_family
 from .coefficients import CoefficientField
 from .norms import SpaceTimeField
 from .solver import solve_line
-from .timefourier import (FracOrder, GridError, TimeSignal, frac_derivative,
-                          time_norm)
+from .timefourier import (FracOrder, GridError, TimeSignal, fourier_multiplier,
+                          frac_derivative, frac_symbol, time_norm)
 
 
 @dataclass
@@ -36,15 +36,23 @@ class CommutatorProbe:
             raise ValueError("operator norm estimate must be >= 0")
 
 
+def commutator_kernel(a: np.ndarray, symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """[a, m(D)]u = a * m(D)u - m(D)(a * u) on axis 0 for a multiplier a
+    broadcast against u and a time symbol m.  For a real symbol the adjoint
+    is -commutator_kernel(conj(a), symbol, .)."""
+    return a * fourier_multiplier(u, symbol) - fourier_multiplier(a * u, symbol)
+
+
 def commutator_apply(a: TimeSignal, alpha: FracOrder | float, u: TimeSignal) -> TimeSignal:
     """[a, D^alpha]u = a * D^alpha u - D^alpha(a * u); products pointwise in
     time, the symbol in frequency."""
     if not a.grid.compatible(u.grid):
         raise GridError("multiplier and argument live on different grids")
-    du = frac_derivative(u, alpha)
-    au = TimeSignal(u.grid, a.values * u.values)
-    dau = frac_derivative(au, alpha)
-    return TimeSignal(u.grid, a.values * du.values - dau.values)
+    alpha_v = alpha.alpha if isinstance(alpha, FracOrder) else FracOrder(alpha).alpha
+    a.check_finite()
+    u.check_finite()
+    symbol = frac_symbol(u.grid.frequencies, alpha_v)
+    return TimeSignal(u.grid, commutator_kernel(a.values, symbol, u.values))
 
 
 def commutator_norm_estimate(
@@ -65,17 +73,8 @@ def commutator_norm_estimate(
         raise ValueError("commutator probe needs a scalar multiplier signal")
     n = a.n
     rng = np.random.default_rng(seed)
-
-    def C(u_vals):
-        du = np.fft.ifft(np.abs(a.grid.frequencies) ** alpha_v * np.fft.fft(u_vals))
-        dau = np.fft.ifft(np.abs(a.grid.frequencies) ** alpha_v * np.fft.fft(a.values * u_vals))
-        return a.values * du - dau
-
-    def C_adj(v_vals):
-        # C* = -[conj(a), D^alpha] since D^alpha is self-adjoint
-        dv = np.fft.ifft(np.abs(a.grid.frequencies) ** alpha_v * np.fft.fft(v_vals))
-        dav = np.fft.ifft(np.abs(a.grid.frequencies) ** alpha_v * np.fft.fft(np.conj(a.values) * v_vals))
-        return -(np.conj(a.values) * dv - dav)
+    symbol = frac_symbol(a.grid.frequencies, alpha_v)
+    a_conj = np.conj(a.values)
 
     best = 0.0
     osc = a.values - a.values.mean()
@@ -86,7 +85,8 @@ def commutator_norm_estimate(
             v /= np.linalg.norm(v)
             lam = 0.0
             for _ in range(n_power_steps):
-                w = C_adj(C(v))
+                # C* = -[conj(a), D^alpha] since D^alpha is self-adjoint
+                w = -commutator_kernel(a_conj, symbol, commutator_kernel(a.values, symbol, v))
                 nw = np.linalg.norm(w)
                 if nw == 0.0:
                     break
@@ -96,7 +96,7 @@ def commutator_norm_estimate(
     bmo_val = None
     ratio = None
     if not degenerate:
-        da = frac_derivative(TimeSignal(a.grid, a.values), 0.5 if alpha_v == 0.5 else alpha_v)
+        da = frac_derivative(TimeSignal(a.grid, a.values), alpha_v)
         bmo_val = bmo_seminorm(da, dyadic_family(a.grid)).value
         ratio = best / bmo_val if bmo_val > 0 else None
     return CommutatorProbe(
@@ -115,11 +115,7 @@ def coordinatewise_commutator(
     A: CoefficientField, alpha: float, w: np.ndarray
 ) -> np.ndarray:
     """[A(., x), D^alpha] applied column-wise over x to cell data w (nt, nx)."""
-    a_cells = A.scalar_cells()
-    freqs = np.abs(A.time_grid.frequencies) ** alpha
-    dw = np.fft.ifft(freqs[:, None] * np.fft.fft(w, axis=0), axis=0)
-    daw = np.fft.ifft(freqs[:, None] * np.fft.fft(a_cells * w, axis=0), axis=0)
-    return a_cells * dw - daw
+    return commutator_kernel(A.scalar_cells(), frac_symbol(A.time_grid.frequencies, alpha), w)
 
 
 def factorization_check(

@@ -104,28 +104,40 @@ def stiffness_apply(mesh: SpaceMesh, a_cells: np.ndarray, u: np.ndarray) -> np.n
     return gradient_adjoint(mesh, flux)
 
 
+def _free_band(mesh: SpaceMesh, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Lower band (2, ndof) of the free-dof block of a nodal tridiagonal
+    matrix with diagonal diag and off-diagonal off.  The free dofs are the
+    contiguous nodes first..first+ndof-1, so the block is a slice."""
+    first = 1 if mesh.bc_left == DIRICHLET else 0
+    nd = mesh.n_dofs
+    band = np.zeros((2, nd), dtype=diag.dtype)
+    band[0] = diag[first : first + nd]
+    band[1, :-1] = off[first : first + nd - 1]
+    return band
+
+
 def mass_banded(mesh: SpaceMesh) -> np.ndarray:
     """P1 mass matrix in lower banded form (2, ndof) for solveh_banded."""
     n_nodes = mesh.n_cells + 1
     h = mesh.h
     diag = np.full(n_nodes, 2 * h / 3)
     diag[0] = diag[-1] = h / 3
-    off = np.full(n_nodes - 1, h / 6)
-    mask = mesh.free_mask
-    idx = np.where(mask)[0]
-    nd = len(idx)
-    band = np.zeros((2, nd))
-    band[0] = diag[mask]
-    for k in range(nd - 1):
-        if idx[k + 1] == idx[k] + 1:
-            band[1, k] = off[idx[k]]
-    return band
+    return _free_band(mesh, diag, np.full(n_nodes - 1, h / 6))
 
 
 def tridiag_dense(band_lower: np.ndarray) -> np.ndarray:
     """Lower banded (2, n) symmetric tridiagonal -> dense matrix."""
     d, sub = band_lower[0], band_lower[1, :-1]
     return np.diag(d) + np.diag(sub, -1) + np.diag(sub, 1)
+
+
+def tridiag_apply(band_lower: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Lower banded (2, n) symmetric tridiagonal matrix times u on the last axis."""
+    d, sub = band_lower[0], band_lower[1, :-1]
+    out = d * u
+    out[..., :-1] += sub * u[..., 1:]
+    out[..., 1:] += sub * u[..., :-1]
+    return out
 
 
 def stiffness_banded(mesh: SpaceMesh, a_cells: np.ndarray) -> np.ndarray:
@@ -136,26 +148,27 @@ def stiffness_banded(mesh: SpaceMesh, a_cells: np.ndarray) -> np.ndarray:
     diag = np.zeros(n_nodes, dtype=a.dtype)
     diag[:-1] += a / h
     diag[1:] += a / h
-    off = -a / h
-    mask = mesh.free_mask
-    idx = np.where(mask)[0]
-    nd = len(idx)
-    band = np.zeros((2, nd), dtype=a.dtype)
-    band[0] = diag[mask]
-    for k in range(nd - 1):
-        if idx[k + 1] == idx[k] + 1:
-            band[1, k] = off[idx[k]]
-    return band
+    return _free_band(mesh, diag, -a / h)
+
+
+def shifted_bands(mesh: SpaceMesh, z: np.ndarray, a_cells: np.ndarray):
+    """Bands (sub, diag, sup), each (len(z), ndof), of z_k M + K(a) for a
+    batch of shifts z, laid out for `batched_tridiag_solve`."""
+    mband = mass_banded(mesh)
+    kband = stiffness_banded(mesh, a_cells)
+    z = np.asarray(z)[:, None]
+    diag = z * mband[0] + kband[0]
+    off = z * mband[1] + kband[1]
+    sub = np.zeros_like(diag)
+    sup = np.zeros_like(diag)
+    sub[:, 1:] = off[:, :-1]
+    sup[:, :-1] = off[:, :-1]
+    return sub, diag, sup
 
 
 def mass_apply(mesh: SpaceMesh, u: np.ndarray) -> np.ndarray:
     """M u on the last axis (P1 consistent mass, free dofs)."""
-    band = _mass_band_cached(mesh)
-    d, sub = band[0], band[1, :-1]
-    out = u * d
-    out[..., :-1] += u[..., 1:] * sub
-    out[..., 1:] += u[..., :-1] * sub
-    return out
+    return tridiag_apply(_mass_band_cached(mesh), u)
 
 
 _MASS_CACHE: dict[SpaceMesh, np.ndarray] = {}

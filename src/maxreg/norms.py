@@ -15,7 +15,8 @@ import numpy as np
 
 from . import fem
 from .fem import SpaceMesh
-from .timefourier import GridError, TimeGrid
+from .timefourier import (GridError, TimeGrid, fourier_multiplier, frac_symbol,
+                          hilbert_symbol, twist_symbol)
 
 
 @dataclass
@@ -43,22 +44,20 @@ def zero_field(grid: TimeGrid, mesh: SpaceMesh) -> SpaceTimeField:
 
 def field_symbol(u: SpaceTimeField, symbol: np.ndarray) -> SpaceTimeField:
     """Apply a time Fourier multiplier to a field."""
-    uhat = np.fft.fft(u.values, axis=0)
-    vals = np.fft.ifft(symbol[:, None] * uhat, axis=0)
-    return SpaceTimeField(u.time_grid, u.mesh, vals)
+    return SpaceTimeField(u.time_grid, u.mesh, fourier_multiplier(u.values, symbol))
 
 
 def d_alpha(u: SpaceTimeField, alpha: float) -> SpaceTimeField:
     """Fractional time derivative |tau|^alpha of a field."""
-    return field_symbol(u, np.abs(u.time_grid.frequencies) ** alpha)
+    return field_symbol(u, frac_symbol(u.time_grid.frequencies, alpha))
 
 
 def hilbert(u: SpaceTimeField) -> SpaceTimeField:
-    return field_symbol(u, 1j * np.sign(u.time_grid.frequencies))
+    return field_symbol(u, hilbert_symbol(u.time_grid.frequencies))
 
 
 def twist(u: SpaceTimeField, delta: float) -> SpaceTimeField:
-    return field_symbol(u, 1.0 + delta * 1j * np.sign(u.time_grid.frequencies))
+    return field_symbol(u, twist_symbol(u.time_grid.frequencies, delta))
 
 
 def time_derivative(u: SpaceTimeField) -> SpaceTimeField:
@@ -133,15 +132,7 @@ def dual_norm_estar(f: SpaceTimeField, theta_weight: float = 1.0) -> float:
     tau = np.abs(f.time_grid.frequencies)
     fhat = np.fft.fft(f.values, axis=0) / n
     rhs = fem.mass_apply(mesh, fhat)
-    mband = fem.mass_banded(mesh)
-    kband = fem.stiffness_banded(mesh, np.ones(mesh.n_cells))
-    nd = mesh.n_dofs
-    diag = (theta_weight + tau)[:, None] * mband[0][None, :] + kband[0].real[None, :]
-    off = (theta_weight + tau)[:, None] * mband[1, :][None, :] + kband[1].real[None, :]
-    sub = np.zeros((n, nd), dtype=complex)
-    sup = np.zeros((n, nd), dtype=complex)
-    sub[:, 1:] = off[:, :-1]
-    sup[:, :-1] = off[:, :-1]
+    sub, diag, sup = fem.shifted_bands(mesh, theta_weight + tau, np.ones(mesh.n_cells))
     z = fem.batched_tridiag_solve(sub, diag.astype(complex), sup, rhs.astype(complex))
     val = float(np.sum(np.conj(rhs) * z).real * f.time_grid.period)
     return float(np.sqrt(max(val, 0.0)))

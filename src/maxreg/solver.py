@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from . import fem, norms
 from .coefficients import CoefficientField, extend_full, mollify, require_elliptic
 from .norms import SpaceTimeField, zero_field
-from .timefourier import GridError, TimeGrid
+from .timefourier import GridError, fourier_multiplier
 
 
 class SolverError(RuntimeError):
@@ -115,24 +115,6 @@ def coercive_form(
     return complex(term_time + term_theta + term_stiff)
 
 
-def _preconditioner_bands(A: CoefficientField, theta: complex):
-    """Per-mode tridiagonal bands of (i*tau + theta) M + K(mean A)."""
-    mesh = A.mesh
-    tau = A.time_grid.frequencies
-    a_bar = A.scalar_cells().mean(axis=0).real
-    mband = fem.mass_banded(mesh)
-    kband = fem.stiffness_banded(mesh, a_bar)
-    z = (1j * tau + complex(theta))[:, None]
-    diag = z * mband[0][None, :] + kband[0][None, :]
-    off = z * mband[1][None, :] + kband[1][None, :]
-    nd = mesh.n_dofs
-    sub = np.zeros_like(diag)
-    sup = np.zeros_like(diag)
-    sub[:, 1:] = off[:, :-1]
-    sup[:, :-1] = off[:, :-1]
-    return sub, diag, sup
-
-
 def solve_line(
     A: CoefficientField,
     f: SpaceTimeField,
@@ -154,12 +136,13 @@ def solve_line(
     mesh, grid = f.mesh, f.time_grid
     nt, nd = grid.n_points, mesh.n_dofs
     a_cells = A.scalar_cells()
-    tau = grid.frequencies
-    sub, diag, sup = _preconditioner_bands(A, theta)
+    z = 1j * grid.frequencies + theta
+    # mode-diagonal preconditioner: (i*tau + theta) M + K(mean A) per mode
+    sub, diag, sup = fem.shifted_bands(mesh, z, a_cells.mean(axis=0).real)
 
     def L_mv(x):
         u = x.reshape(nt, nd)
-        du = np.fft.ifft((1j * tau + theta)[:, None] * np.fft.fft(u, axis=0), axis=0)
+        du = fourier_multiplier(u, z)
         Ku = fem.stiffness_apply(mesh, a_cells, u)
         return (du + fem.mass_solve(mesh, Ku)).ravel()
 
@@ -305,18 +288,14 @@ def timestep_reference(
     fmax = float(np.sqrt(np.max(np.abs(fem.h_inner(mesh, f.values, f.values).real))))
     for j in range(nt - 1):
         a_mid = 0.5 * (a_cells[j] + a_cells[j + 1])
-        kband = fem.stiffness_banded(mesh, a_mid)
-        zb = complex(theta)
-        diag_m = mband[0] / dt
-        lhs_d = diag_m + 0.5 * (kband[0] + zb * mband[0])
-        lhs_o = mband[1] / dt + 0.5 * (kband[1] + zb * mband[1])
-        rhs = _tri_apply(diag_m - 0.5 * (kband[0] + zb * mband[0]),
-                         mband[1] / dt - 0.5 * (kband[1] + zb * mband[1]), u[j])
+        half = 0.5 * (fem.stiffness_banded(mesh, a_mid) + complex(theta) * mband)
+        lhs = mband / dt + half
+        rhs = fem.tridiag_apply(mband / dt - half, u[j])
         rhs += fem.mass_apply(mesh, 0.5 * (f.values[j] + f.values[j + 1]))
         ab = np.zeros((3, nd), dtype=complex)
-        ab[0, 1:] = lhs_o[:-1]
-        ab[1] = lhs_d
-        ab[2, :-1] = lhs_o[:-1]
+        ab[0, 1:] = lhs[1, :-1]
+        ab[1] = lhs[0]
+        ab[2, :-1] = lhs[1, :-1]
         u[j + 1] = scipy.linalg.solve_banded((1, 1), ab, rhs)
         if lipschitz_check:
             nj = np.sqrt(max(fem.h_inner(mesh, u[j], u[j]).real, 0.0))
@@ -326,13 +305,6 @@ def timestep_reference(
                     f"energy growth detected at step {j}: "
                     f"{nj1:.3e} > {nj:.3e} + dt*||f||; step size rejected")
     return SpaceTimeField(grid, mesh, u)
-
-
-def _tri_apply(d, o, x):
-    y = d * x
-    y[:-1] += o[:-1] * x[1:]
-    y[1:] += o[:-1] * x[:-1]
-    return y
 
 
 def autonomous_oracle(

@@ -32,8 +32,8 @@ def _is_pow2(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid with n_points samples on [t_start, t_end), periodized."""
+class UniformGrid:
+    """Uniform grid with n_points samples on [t_start, t_end)."""
 
     t_start: float
     t_end: float
@@ -42,8 +42,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.t_end > self.t_start:
             raise GridError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
-        if self.n_points < 8 or not _is_pow2(self.n_points):
-            raise GridError(f"n_points must be a power of two >= 8, got {self.n_points}")
+        if self.n_points < 2:
+            raise GridError(f"n_points must be >= 2, got {self.n_points}")
 
     @property
     def period(self) -> float:
@@ -57,12 +57,7 @@ class TimeGrid:
     def points(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_points)
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Angular frequencies 2*pi*k/period in FFT order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dt)
-
-    def compatible(self, other: "TimeGrid") -> bool:
+    def compatible(self, other: "UniformGrid") -> bool:
         return (
             self.n_points == other.n_points
             and np.isclose(self.t_start, other.t_start)
@@ -75,6 +70,21 @@ class TimeGrid:
         if not (0 <= j < self.n_points) or abs(self.t_start + j * self.dt - t) > 1e-9 * max(1.0, self.period):
             raise GridError(f"t={t} is not a grid point of {self}")
         return j
+
+
+@dataclass(frozen=True)
+class TimeGrid(UniformGrid):
+    """Uniform power-of-two grid on [t_start, t_end), periodized: an FFT carrier."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_points < 8 or not _is_pow2(self.n_points):
+            raise GridError(f"n_points must be a power of two >= 8, got {self.n_points}")
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """Angular frequencies 2*pi*k/period in FFT order."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dt)
 
     def refined(self, factor: int = 2) -> "TimeGrid":
         return TimeGrid(self.t_start, self.t_end, self.n_points * factor)
@@ -98,7 +108,7 @@ class TimeSignal:
     values has shape (n_points, ...); the leading axis is time.
     """
 
-    grid: TimeGrid
+    grid: UniformGrid
     values: np.ndarray
 
     def __post_init__(self):
@@ -152,41 +162,56 @@ def signal_from_samples(grid_window: tuple[float, float], samples: np.ndarray) -
     return TimeSignal(g, out.reshape((n2,) + samples.shape[1:]))
 
 
+def fourier_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """ifft(symbol * fft(values)) along axis 0, broadcasting the (n,) symbol
+    over any trailing axes of values."""
+    shape = (values.shape[0],) + (1,) * (values.ndim - 1)
+    return np.fft.ifft(symbol.reshape(shape) * np.fft.fft(values, axis=0), axis=0)
+
+
+def frac_symbol(tau: np.ndarray, alpha: float) -> np.ndarray:
+    """Symbol |tau|**alpha of D_t^alpha; the zero mode maps to 0."""
+    return np.abs(tau) ** alpha
+
+
+def hilbert_symbol(tau: np.ndarray) -> np.ndarray:
+    """Symbol i*sgn(tau) of H_t; the zero mode maps to 0."""
+    return 1j * np.sign(tau)
+
+
+def twist_symbol(tau: np.ndarray, delta: float) -> np.ndarray:
+    """Symbol 1 + delta*i*sgn(tau) of the twist 1 + delta*H_t."""
+    return 1.0 + delta * hilbert_symbol(tau)
+
+
 def _apply_symbol(u: TimeSignal, symbol: np.ndarray) -> TimeSignal:
     u.check_finite()
-    shape = (u.n,) + (1,) * (u.values.ndim - 1)
-    uhat = np.fft.fft(u.values, axis=0)
-    vals = np.fft.ifft(symbol.reshape(shape) * uhat, axis=0)
-    return TimeSignal(u.grid, vals)
+    return TimeSignal(u.grid, fourier_multiplier(u.values, symbol))
 
 
 def frac_derivative(u: TimeSignal, a: FracOrder | float) -> TimeSignal:
     """D_t^alpha: Fourier multiplier |tau|^alpha, zero mode annihilated."""
     alpha = a.alpha if isinstance(a, FracOrder) else FracOrder(a).alpha
-    tau = u.grid.frequencies
-    return _apply_symbol(u, np.abs(tau) ** alpha)
+    return _apply_symbol(u, frac_symbol(u.grid.frequencies, alpha))
 
 
 def hilbert_transform(u: TimeSignal) -> TimeSignal:
     """H_t: Fourier multiplier i*sgn(tau), zero mode annihilated."""
-    tau = u.grid.frequencies
-    return _apply_symbol(u, 1j * np.sign(tau))
+    return _apply_symbol(u, hilbert_symbol(u.grid.frequencies))
 
 
 def twist_operator(u: TimeSignal, delta: float) -> TimeSignal:
     """(1 + delta*H_t)u.  Requires 0 < delta < 1 so the twist is invertible."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"twist parameter must lie in (0, 1), got {delta}")
-    tau = u.grid.frequencies
-    return _apply_symbol(u, 1.0 + delta * 1j * np.sign(tau))
+    return _apply_symbol(u, twist_symbol(u.grid.frequencies, delta))
 
 
 def twist_inverse(u: TimeSignal, delta: float) -> TimeSignal:
     """Inverse of (1 + delta*H_t) by symbol division."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"twist parameter must lie in (0, 1), got {delta}")
-    tau = u.grid.frequencies
-    return _apply_symbol(u, 1.0 / (1.0 + delta * 1j * np.sign(tau)))
+    return _apply_symbol(u, 1.0 / twist_symbol(u.grid.frequencies, delta))
 
 
 def time_inner_product(u: TimeSignal, v: TimeSignal) -> complex:

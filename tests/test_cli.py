@@ -7,6 +7,7 @@ import pytest
 from maxreg.cli import (
     EXIT_IO,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
     bundled_config_path,
     main,
@@ -65,6 +66,12 @@ class TestValidation:
                        "--set", "solver.warp=1", outdir=tmp_path)
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("key", ["solver.theta_re=5", "solver.theta_im=1",
+                                     "solver.max_iterations=10"])
+    def test_removed_solver_keys_rejected(self, tmp_path, key):
+        code = run_cli("solve", "autonomous-dirichlet", "--set", key, outdir=tmp_path)
+        assert code == EXIT_VALIDATION
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("solve", str(tmp_path / "nope.json"),
                        outdir=tmp_path) == EXIT_IO
@@ -79,6 +86,20 @@ class TestValidation:
                        "--set", 'coefficient.kind="fractal"',
                        outdir=tmp_path)
         assert code == EXIT_VALIDATION
+
+
+class TestSolverFailure:
+    def test_diagnostics_printed_as_json_object(self, tmp_path, capsys):
+        # no GMRES run reaches a relative residual of 1e-20
+        code = run_cli("solve", "autonomous-dirichlet",
+                       "--set", "time.n_points=8", "--set", "mesh.n_cells=4",
+                       "--set", "solver.tolerance=1e-20",
+                       "--set", "analysis.seminorms=[]", outdir=tmp_path)
+        assert code == EXIT_SOLVER
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert isinstance(record, dict)
+        assert record["residual"] > 1e-20
+        assert record["iterations"] > 0
 
 
 class TestSolveBehavior:

@@ -3,6 +3,8 @@ pointwise application, randomized operator-norm probes, the vector lift
 over space columns, and the factorization identity for line solutions."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from maxreg.bmo import refinement_verdict
@@ -10,6 +12,7 @@ from maxreg.coefficients import generate_family, mollify
 from maxreg.commutators import (
     CommutatorProbe,
     commutator_apply,
+    commutator_kernel,
     commutator_norm_estimate,
     coordinatewise_commutator,
     factorization_check,
@@ -21,6 +24,7 @@ from maxreg.timefourier import (
     TimeGrid,
     TimeSignal,
     frac_derivative,
+    frac_symbol,
     time_inner_product,
     time_norm,
 )
@@ -82,6 +86,19 @@ class TestCommutatorApply:
         rhs = time_inner_product(
             u, TimeSignal(GRID, -commutator_apply(a_bar, 0.5, v).values))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    @given(st.sampled_from([(), (5,)]), st.floats(0.1, 1.0), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_kernel_adjoint_is_minus_conjugate_kernel(self, trailing, alpha, seed):
+        # <C u, v> = <u, C* v> with C* = -kernel(conj a), summed over all axes
+        rng = np.random.default_rng(seed)
+        shape = (GRID.n_points, *trailing)
+        a, u, v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                   for _ in range(3))
+        m = frac_symbol(GRID.frequencies, alpha)
+        lhs = np.vdot(v, commutator_kernel(a, m, u))
+        rhs = np.vdot(-commutator_kernel(np.conj(a), m, v), u)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v) * np.abs(a).max()
 
 
 class TestNormEstimate:

@@ -1,6 +1,8 @@
 """P1 finite elements on the uniform 1-D mesh."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from maxreg.fem import (
@@ -15,10 +17,48 @@ from maxreg.fem import (
     mass_apply,
     mass_banded,
     mass_solve,
+    shifted_bands,
     stiffness_apply,
     stiffness_banded,
+    tridiag_apply,
     tridiag_dense,
 )
+
+BCS = st.sampled_from(["dirichlet", "neumann"])
+
+
+def loop_band(mesh, diag, off):
+    """Free-dof restriction as a per-row loop: the reference for the slice."""
+    mask = mesh.free_mask
+    idx = np.where(mask)[0]
+    nd = len(idx)
+    band = np.zeros((2, nd), dtype=diag.dtype)
+    band[0] = diag[mask]
+    for k in range(nd - 1):
+        if idx[k + 1] == idx[k] + 1:
+            band[1, k] = off[idx[k]]
+    return band
+
+
+def loop_mass_banded(mesh):
+    n_nodes = mesh.n_cells + 1
+    h = mesh.h
+    diag = np.full(n_nodes, 2 * h / 3)
+    diag[0] = diag[-1] = h / 3
+    return loop_band(mesh, diag, np.full(n_nodes - 1, h / 6))
+
+
+def loop_stiffness_banded(mesh, a_cells):
+    a = np.asarray(a_cells, dtype=complex if np.iscomplexobj(a_cells) else float)
+    h = mesh.h
+    diag = np.zeros(mesh.n_cells + 1, dtype=a.dtype)
+    diag[:-1] += a / h
+    diag[1:] += a / h
+    return loop_band(mesh, diag, -a / h)
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 class TestSpaceMesh:
@@ -59,6 +99,49 @@ class TestMassMatrix:
         rng = np.random.default_rng(1)
         u = rng.standard_normal(m.n_dofs)
         assert np.abs(dense @ u - mass_apply(m, u)).max() <= 1e-14
+
+
+class TestBandBuilders:
+    @given(st.integers(4, 40), BCS, BCS, st.booleans(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_match_loop_reference(self, n_cells, bc_left, bc_right, complex_a, seed):
+        m = SpaceMesh(0.0, 1.5, n_cells, bc_left, bc_right)
+        rng = np.random.default_rng(seed)
+        a = 0.5 + rng.random(n_cells)
+        if complex_a:
+            a = a + 1j * rng.standard_normal(n_cells)
+        assert same_bits(mass_banded(m), loop_mass_banded(m))
+        assert same_bits(stiffness_banded(m, a), loop_stiffness_banded(m, a))
+
+    @given(st.integers(4, 40), BCS, BCS, st.booleans(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_tridiag_apply_matches_dense(self, n_cells, bc_left, bc_right, batched, seed):
+        m = SpaceMesh(0.0, 1.0, n_cells, bc_left, bc_right)
+        rng = np.random.default_rng(seed)
+        a = 0.5 + rng.random(n_cells) + 1j * rng.standard_normal(n_cells)
+        band = stiffness_banded(m, a)
+        shape = (3, m.n_dofs) if batched else (m.n_dofs,)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = (tridiag_dense(band) @ u.T).T
+        assert np.abs(tridiag_apply(band, u) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @given(BCS, BCS, st.booleans(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_shifted_bands_match_per_shift_formula(self, bc_left, bc_right, complex_z, seed):
+        m = SpaceMesh(0.0, 1.0, 12, bc_left, bc_right)
+        rng = np.random.default_rng(seed)
+        a = 0.5 + rng.random(m.n_cells)
+        z = 1.0 + rng.random(5)
+        if complex_z:
+            z = z + 1j * rng.standard_normal(5)
+        sub, diag, sup = shifted_bands(m, z, a)
+        mband, kband = mass_banded(m), stiffness_banded(m, a)
+        for k in range(5):
+            d = z[k] * mband[0] + kband[0]
+            off = (z[k] * mband[1] + kband[1])[:-1]
+            assert same_bits(diag[k], d)
+            assert same_bits(sub[k, 1:], off) and sub[k, 0] == 0
+            assert same_bits(sup[k, :-1], off) and sup[k, -1] == 0
 
 
 class TestStiffness:

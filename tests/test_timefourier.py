@@ -10,7 +10,11 @@ from maxreg.timefourier import (
     SignalError,
     TimeGrid,
     TimeSignal,
+    UniformGrid,
+    fourier_multiplier,
     frac_derivative,
+    frac_symbol,
+    hilbert_symbol,
     hilbert_transform,
     load_signal,
     mean_value,
@@ -20,6 +24,7 @@ from maxreg.timefourier import (
     time_norm,
     twist_inverse,
     twist_operator,
+    twist_symbol,
 )
 
 
@@ -55,6 +60,45 @@ class TestTimeGrid:
         assert g.refined().n_points == 128
         assert not g.compatible(g.refined())
         assert g.compatible(TimeGrid(0.0, 1.0, 64))
+
+    def test_uniform_grid_validates_without_power_of_two(self):
+        g = UniformGrid(-1.0, 2.0, 3 * 64)
+        assert g.dt == 3.0 / 192
+        assert g.index_of(0.0) == 64
+        with pytest.raises(GridError):
+            UniformGrid(1.0, 1.0, 192)
+        with pytest.raises(GridError):
+            UniformGrid(0.0, 1.0, 1)
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestFourierMultiplier:
+    @given(st.sampled_from([(), (3,), (2, 2, 2)]), st.booleans(),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_explicit_formula(self, trailing, complex_symbol, seed):
+        rng = np.random.default_rng(seed)
+        n = 64
+        x = rng.standard_normal((n, *trailing)) + 1j * rng.standard_normal((n, *trailing))
+        m = rng.standard_normal(n)
+        if complex_symbol:
+            m = m + 1j * rng.standard_normal(n)
+        if trailing == ():
+            ref = np.fft.ifft(m * np.fft.fft(x))
+        elif len(trailing) == 1:
+            ref = np.fft.ifft(m[:, None] * np.fft.fft(x, axis=0), axis=0)
+        else:
+            ref = np.fft.ifft(m[:, None, None, None] * np.fft.fft(x, axis=0), axis=0)
+        assert same_bits(fourier_multiplier(x, m), ref)
+
+    def test_symbols_match_their_formulas(self):
+        tau = TimeGrid(0.0, 1.0, 64).frequencies
+        assert same_bits(frac_symbol(tau, 0.3), np.abs(tau) ** 0.3)
+        assert same_bits(hilbert_symbol(tau), 1j * np.sign(tau))
+        assert same_bits(twist_symbol(tau, 0.4), 1.0 + 0.4 * 1j * np.sign(tau))
 
 
 class TestFracDerivative:
