@@ -5,15 +5,20 @@ half-Sobolev functional (the solvability condition of the toolkit),
 plain fractional L2-Sobolev seminorms, Hoelder constants, and Dini
 integrals, plus divergence detection under grid refinement.
 
-Matrix-valued inputs are reduced pointwise with the maximum over entries.
-Double integrals omit the diagonal cell; for Lipschitz samples the omitted
-mass is O(dt).
+The pairwise functionals (half-Sobolev, fractional Sobolev, Hoelder, Dini)
+share one lag-blocked kernel, `_lag_blocks`: the ratios |f(t+m) - f(t)|^2 /
+m^p come a block of lags at a time, so memory is O(n) and no n x n matrix is
+ever formed.  Matrix-valued inputs are reduced pointwise with the maximum
+over entries.  Double integrals omit the diagonal cell; for Lipschitz samples
+the omitted mass is O(dt).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .timefourier import FracOrder, TimeGrid, TimeSignal
 
@@ -42,6 +47,12 @@ class IntervalFamily:
 
     def __len__(self) -> int:
         return len(self.intervals)
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, ends) of the intervals as index arrays, in family order."""
+        starts, ends = np.array(self.intervals, dtype=np.intp).T
+        return starts, ends
 
     def seconds(self, iv: tuple[int, int]) -> tuple[float, float]:
         a, b = iv
@@ -97,78 +108,211 @@ class SeminormValue:
 
 
 def _entry_flat(f: TimeSignal) -> np.ndarray:
-    """Samples flattened to (n, n_entries) for entrywise reductions."""
+    """Samples flattened to (n, n_entries) for entrywise reductions.
+
+    Complex samples with zero imaginary part come back real: every reduction
+    here goes through |.|, and |x + 0j| == |x| exactly, so this only saves time.
+    """
     v = np.asarray(f.values)
-    return v.reshape(v.shape[0], -1)
+    v = v.reshape(v.shape[0], -1)
+    if np.iscomplexobj(v) and not v.imag.any():
+        v = v.real
+    return v
+
+
+# Elements per block of _lag_blocks and per vectorised gather: 512 KiB of
+# float64, small enough to stay in cache, large enough that numpy call
+# overhead is negligible.  Working memory is O(n) however fine the grid.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _lag_blocks(g: np.ndarray, t: np.ndarray, exponent: float, max_lag: int | None = None):
+    """Pairwise ratios of the samples g (n, n_entries) at times t, by lag.
+
+    Yields (lags, R) with, for m = lags[k],
+
+        R[k, i] = max_entries |g[i+m] - g[i]|^2 / |t[i+m] - t[i]|^exponent,  i < n - m,
+
+    and R[k, i] = 0 for i >= n - m.  Lags 1..max_lag come one octave
+    [2^j, 2^(j+1)) at a time, split where an octave exceeds _BLOCK_ELEMENTS,
+    so numpy works on few large arrays while memory stays O(n).  Every ratio
+    is bitwise the (i, i+m) entry of the dense n x n ratio matrix: the same
+    differences, the same gap computed from t, the same operations.
+
+    R lives in a buffer that the next block overwrites: reduce it before
+    asking for the next one.
+    """
+    n, n_entries = g.shape
+    max_lag = n - 1 if max_lag is None else min(max_lag, n - 1)
+    # Row k of a block reads samples lags[0] + k + i, past the end for the
+    # last rows: pad with zeros at infinite times, and zero those ratios.
+    pad = np.zeros((n, n_entries), dtype=g.dtype)
+    windows = sliding_window_view(np.concatenate([g, pad]), n - 1, axis=0)
+    t_windows = sliding_window_view(np.concatenate([t, np.full(n, np.inf)]), n - 1)
+    size = max(_BLOCK_ELEMENTS, n)
+    ratio_buf, gap_buf = np.empty(size), np.empty(size)
+    sq_buf = np.empty(size) if n_entries > 1 else None
+    diff_buf = np.empty(size, dtype=g.dtype) if np.iscomplexobj(g) else None
+    octave = 1
+    while octave <= max_lag:
+        lo, octave_end = octave, min(2 * octave, max_lag + 1)
+        while lo < octave_end:
+            width = n - lo
+            hi = min(octave_end, lo + max(1, _BLOCK_ELEMENTS // width))
+            rows = hi - lo
+            R = ratio_buf[:rows * width].reshape(rows, width)
+            for e in range(n_entries):
+                sq = R if e == 0 else sq_buf[:rows * width].reshape(rows, width)
+                if diff_buf is None:     # x * x == |x|^2 for real x
+                    np.subtract(windows[lo:hi, e, :width], g[:width, e], out=sq)
+                    np.multiply(sq, sq, out=sq)
+                else:
+                    diff = diff_buf[:rows * width].reshape(rows, width)
+                    np.subtract(windows[lo:hi, e, :width], g[:width, e], out=diff)
+                    np.abs(diff, out=sq)
+                    np.multiply(sq, sq, out=sq)
+                if e > 0:
+                    np.maximum(R, sq, out=R)
+            if exponent:        # gap^0 == 1: nothing to divide by
+                gap = gap_buf[:rows * width].reshape(rows, width)
+                np.subtract(t_windows[lo:hi, :width], t[:width], out=gap)   # > 0
+                gap **= exponent    # the operator's fast paths, as in gap ** exponent
+                R /= gap
+            if rows > 1:        # row k is valid for i < width - k
+                tail = R[:, width - rows + 1:]
+                tail[np.add.outer(np.arange(rows), np.arange(rows - 1)) >= rows - 1] = 0.0
+            yield np.arange(lo, hi), R
+            lo = hi
+        octave *= 2
+
+
+def _family_sup(values: np.ndarray, fam: IntervalFamily, resolution: int) -> SeminormValue:
+    """The largest positive value over the family; the first in family order wins."""
+    k = int(np.argmax(values))
+    best = float(values[k])
+    return SeminormValue(
+        best if best > 0 else 0.0,
+        family_size=len(fam),
+        achieving_interval=fam.seconds(fam.intervals[k]) if best > 0 else None,
+        resolution=resolution,
+    )
 
 
 def bmo_seminorm(f: TimeSignal, fam: IntervalFamily) -> SeminormValue:
     """sup over the family of the mean of |f - f_I| on I.
 
     Matrix values: per-entry mean oscillation, then max over entries.
+    Intervals of one length are evaluated together; ties go to the first
+    interval in family order.
     """
     if not f.grid.compatible(fam.grid):
         raise FamilyError("family grid does not match signal grid")
-    g = _entry_flat(f)
-    best, best_iv = 0.0, None
-    for a, b in fam.intervals:
-        seg = g[a:b]
-        osc = np.abs(seg - seg.mean(axis=0)).mean(axis=0).max()
-        if osc > best:
-            best, best_iv = float(osc), (a, b)
-    return SeminormValue(
-        best,
-        family_size=len(fam),
-        achieving_interval=fam.seconds(best_iv) if best_iv else None,
-        resolution=f.n,
-    )
+    cols = np.ascontiguousarray(_entry_flat(f).T)
+    starts, ends = fam.bounds
+    lengths = ends - starts
+    osc = np.empty(len(fam))
+    for ell in np.unique(lengths):
+        which = np.flatnonzero(lengths == ell)
+        windows = sliding_window_view(cols, ell, axis=1)
+        step = max(1, _BLOCK_ELEMENTS // (ell * cols.shape[0]))
+        for k in range(0, len(which), step):
+            part = which[k:k + step]
+            seg = windows[:, starts[part]]                   # (entries, intervals, ell)
+            dev = np.abs(seg - seg.mean(axis=2, keepdims=True)).mean(axis=2)
+            osc[part] = dev.max(axis=0)
+    return _family_sup(osc, fam, f.n)
 
 
-def _pairwise_ratio_matrix(f: TimeSignal, exponent: float) -> np.ndarray:
-    """R[i, j] = max_entries |f_i - f_j|^2 / |t_i - t_j|^exponent, diag 0."""
-    g = _entry_flat(f)
-    t = f.grid.points
-    dt_gap = np.abs(t[:, None] - t[None, :])
-    np.fill_diagonal(dt_gap, 1.0)
-    num = np.zeros((f.n, f.n))
-    for k in range(g.shape[1]):
-        col = g[:, k]
-        np.maximum(num, np.abs(col[:, None] - col[None, :]) ** 2, out=num)
-    R = num / dt_gap**exponent
-    np.fill_diagonal(R, 0.0)
-    return R
+# Relative distance below which two half-Sobolev values count as tied: far
+# above the rounding of either summation order, far below any real gap.
+_TIE_RTOL = 1e-10
 
 
 def scale_invariant_half_sobolev(f: TimeSignal, fam: IntervalFamily) -> SeminormValue:
     """sup_I (1/len(I)) * iint_{IxI} |f(t)-f(s)|^2 / |t-s|^2 ds dt.
 
-    The double quadrature excludes the diagonal cell.  Interval sums are
-    O(1) lookups into a 2-D prefix sum of the pairwise ratio matrix.
+    The double quadrature excludes the diagonal cell.  Lag-blocked, O(n)
+    memory: each lag m's ratio row is prefix-summed once, and an interval
+    [a, b) longer than m gets P_m[b - m] - P_m[a] from it; the box sum over
+    I x I is twice the sum over lags.  Intervals are sorted by length, so
+    those longer than a block's lags are a prefix of the family.
+
+    Intervals whose values tie with the largest to within _TIE_RTOL (shifted
+    copies of a periodic signal, say) are told apart by rounding alone; they
+    are re-evaluated in the summation order of `_prefix_box_sums`, so a tie
+    always goes to the same interval.
     """
     if not f.grid.compatible(fam.grid):
         raise FamilyError("family grid does not match signal grid")
-    R = _pairwise_ratio_matrix(f, 2.0)
-    S = R.cumsum(axis=0).cumsum(axis=1)
-    dt = f.grid.dt
+    g, t, dt = _entry_flat(f), f.grid.points, f.grid.dt
+    starts, ends = fam.bounds
+    order = np.argsort(starts - ends, kind="stable")     # longest first
+    a, b = starts[order], ends[order]
+    longest = b[0] - a[0]
+    box = np.zeros(len(fam))
+    prefix_buf = np.empty(_BLOCK_ELEMENTS + 2 * f.n)
+    for lags, R in _lag_blocks(g, t, 2.0, max_lag=longest - 1):
+        P = prefix_buf[:R.size + len(lags)].reshape(len(lags), R.shape[1] + 1)
+        P[:, 0] = 0.0
+        np.cumsum(R, axis=1, out=P[:, 1:])
+        c = int(np.count_nonzero(b - a > lags[0]))
+        step = max(1, _BLOCK_ELEMENTS // c)
+        for k in range(0, len(lags), step):
+            m = lags[k:k + step, None]
+            Pk = P[k:k + step]
+            top = b[:c] - m
+            inside = top > a[:c]
+            part = (np.take_along_axis(Pk, np.where(inside, top, 0), axis=1)
+                    - Pk[:, a[:c]])
+            box[:c] += np.where(inside, part, 0.0).sum(axis=0)
+    vals = np.empty(len(fam))
+    vals[order] = 2.0 * box * dt * dt / ((b - a) * dt)
+    tied = np.flatnonzero(vals >= vals.max() * (1.0 - _TIE_RTOL))
+    if len(tied) > 1 and vals[tied[0]] > 0:
+        s, e = starts[tied], ends[tied]
+        vals = np.zeros(len(fam))
+        vals[tied] = _prefix_box_sums(g, t, s, e) * dt * dt / ((e - s) * dt)
+    return _family_sup(vals, fam, f.n)
 
-    def box(a, b):  # sum of R over [a:b) x [a:b)
-        tot = S[b - 1, b - 1]
-        if a > 0:
-            tot -= S[a - 1, b - 1] + S[b - 1, a - 1] - S[a - 1, a - 1]
-        return tot
 
-    best, best_iv = 0.0, None
-    for a, b in fam.intervals:
-        ell = (b - a) * dt
-        val = box(a, b) * dt * dt / ell
-        if val > best:
-            best, best_iv = float(val), (a, b)
-    return SeminormValue(
-        best,
-        family_size=len(fam),
-        achieving_interval=fam.seconds(best_iv) if best_iv else None,
-        resolution=f.n,
-    )
+def _prefix_box_sums(g: np.ndarray, t: np.ndarray, starts: np.ndarray,
+                     ends: np.ndarray) -> np.ndarray:
+    """Box sums of the ratio matrix R (exponent 2) over [a, b) x [a, b), each
+    rounded as a 2-D prefix sum S = R.cumsum(0).cumsum(1) gives it:
+    S[b-1, b-1] - (S[a-1, b-1] + S[b-1, a-1] - S[a-1, a-1]).
+
+    Rows of R are streamed a block at a time, so memory is O(n), but every
+    entry of the leading (max b) x (max b) corner is visited: this is the
+    tie-breaker of `scale_invariant_half_sobolev`, not its main path.
+    """
+    n = int(ends.max())
+    rows = np.concatenate([ends, starts, ends, starts]) - 1
+    cols = np.concatenate([ends, ends, starts, starts]) - 1
+    corner = np.zeros(len(rows))
+    wanted = np.flatnonzero(cols >= 0)          # S[-1, .] and S[., -1] are 0
+    wanted = wanted[np.argsort(rows[wanted], kind="stable")]
+    wanted_rows = rows[wanted]
+    column_sums = np.zeros(n)                   # R[:k].sum(axis=0), in row order
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for k0 in range(0, n, step):
+        k1 = min(n, k0 + step)
+        diag = (np.arange(k1 - k0), np.arange(k0, k1))
+        R = np.zeros((k1 - k0, n))
+        for col in g[:n].T:
+            np.maximum(R, np.abs(col[k0:k1, None] - col[None, :]) ** 2, out=R)
+        gap = np.abs(t[k0:k1, None] - t[None, :n])
+        gap[diag] = 1.0
+        R /= gap ** 2.0
+        R[diag] = 0.0
+        R[0] += column_sums
+        C = np.cumsum(R, axis=0)
+        column_sums = C[-1]
+        S = np.cumsum(C, axis=1)
+        lo, hi = np.searchsorted(wanted_rows, [k0, k1])
+        pick = wanted[lo:hi]
+        corner[pick] = S[rows[pick] - k0, cols[pick]]
+    s_bb, s_ab, s_ba, s_aa = corner.reshape(4, -1)
+    return np.where(starts > 0, s_bb - (s_ab + s_ba - s_aa), s_bb)
 
 
 def frac_sobolev_seminorm(
@@ -185,24 +329,36 @@ def frac_sobolev_seminorm(
         i1 = f.grid.index_of(window[1]) if window[1] < f.grid.t_end else f.n
         if i1 - i0 < 2:
             raise FamilyError("degenerate window")
-    R = _pairwise_ratio_matrix(f, 2.0 * alpha + 1.0)
+    g, t = _entry_flat(f)[i0:i1], f.grid.points[i0:i1]
+    total = sum(float(R.sum()) for _, R in _lag_blocks(g, t, 2.0 * alpha + 1.0))
     dt = f.grid.dt
-    val = float(R[i0:i1, i0:i1].sum() * dt * dt)
+    val = 2.0 * total * dt * dt
     w0 = f.grid.t_start + i0 * dt
     w1 = f.grid.t_start + i1 * dt
     return SeminormValue(val, family_size=1, achieving_interval=(w0, w1), resolution=f.n)
 
 
 def holder_constant(f: TimeSignal, a: FracOrder | float) -> SeminormValue:
-    """max over grid pairs of |f(t)-f(s)| / |t-s|^alpha."""
+    """max over grid pairs of |f(t)-f(s)| / |t-s|^alpha.
+
+    Ties go to the pair (s, t) with the earliest s, then the earliest t.
+    """
     alpha = a.alpha if isinstance(a, FracOrder) else FracOrder(a).alpha
     if f.n < 2:
         raise FamilyError("degenerate grid")
-    R = _pairwise_ratio_matrix(f, 2.0 * alpha)
-    i, j = np.unravel_index(int(np.argmax(R)), R.shape)
     t = f.grid.points
+    best, (i, j) = 0.0, (0, 0)      # all ratios zero: the pair (t_0, t_0)
+    for lags, R in _lag_blocks(_entry_flat(f), t, 2.0 * alpha):
+        top = R.max()
+        if top == 0.0 or top < best:
+            continue
+        rows, starts = np.nonzero(R == top)
+        first = starts.min()
+        pair = (first, first + lags[rows[starts == first]].min())
+        if top > best or pair < (i, j):
+            best, (i, j) = top, pair
     iv = (min(t[i], t[j]), max(t[i], t[j]))
-    return SeminormValue(float(np.sqrt(R[i, j])), family_size=1,
+    return SeminormValue(float(np.sqrt(best)), family_size=1,
                          achieving_interval=iv, resolution=f.n)
 
 
@@ -216,15 +372,14 @@ def dini_integral(
     """
     if not (1.0 <= q <= 2.0):
         raise ValueError(f"Dini exponent must lie in [1, 2], got {q}")
-    g = _entry_flat(f)
     n, dt = f.n, f.grid.dt
     if horizon is None:
         horizon = f.grid.period
     m_max = min(n - 1, int(round(horizon / dt)))
-    lags = np.arange(1, m_max + 1)
     sup = np.empty(m_max)
-    for m in lags:
-        sup[m - 1] = np.abs(g[m:] - g[:-m]).max() if m < n else 0.0
+    for lags, R in _lag_blocks(_entry_flat(f), f.grid.points, 0.0, max_lag=m_max):
+        sup[lags - 1] = np.sqrt(R.max(axis=1))
+    lags = np.arange(1, m_max + 1)
     weights = dt / ((lags * dt) ** (1.0 + q / 2.0))
     terms = sup**q * weights
     value = float(terms.sum())

@@ -193,12 +193,26 @@ def _output_path(cfg: dict, suffix: str) -> str:
     return os.path.join(directory, f"{cfg['experiment_id']}{suffix}")
 
 
-def _seminorm_ladder(cfg: dict, A: CoefficientField, rows: list[SeminormRow]) -> None:
+def _seminorm_ladder(cfg: dict, A: CoefficientField, rows: list[SeminormRow],
+                     diagnostics: dict) -> None:
     """All requested time-regularity functionals of A(., x_0), with the
-    refinement-based divergence flags when extra resolutions are configured."""
+    refinement-based divergence flags when extra resolutions are configured.
+
+    Only a generated family can be sampled afresh at other resolutions.  A
+    coefficient file or a mollified field is measured at its own resolution,
+    and its refinement flags are null: resampling adds no fine-scale content,
+    so a flag from resampled data would claim a measurement never made.
+    """
     a = A.column(0)
     want = set(cfg["analysis"]["seminorms"])
-    resolutions = sorted({A.time_grid.n_points, *cfg["analysis"]["resolutions"]})
+    regenerable = not cfg["coefficient"]["file"] and A.kind in FAMILY_KINDS
+    if regenerable:
+        resolutions = sorted({A.time_grid.n_points, *cfg["analysis"]["resolutions"]})
+    else:
+        resolutions = [A.time_grid.n_points]
+        diagnostics["ladder"] = (
+            f"coefficient kind {A.kind!r} cannot be regenerated at other resolutions: "
+            "functionals measured at the native resolution only, refinement flags null")
     threshold = cfg["analysis"]["divergence_threshold"]
 
     def signal_at(n: int):
@@ -211,7 +225,7 @@ def _seminorm_ladder(cfg: dict, A: CoefficientField, rows: list[SeminormRow]) ->
             alpha=cfg["coefficient"]["alpha"], t0=cfg["coefficient"]["t0"],
             value=cfg["coefficient"]["value"],
             space_profile=cfg["coefficient"]["space_profile"],
-        ).column(0) if A.kind in FAMILY_KINDS else a.resampled(n)
+        ).column(0)
 
     def ladder(label, order, evaluate, verdict_fn=None):
         values = []
@@ -309,7 +323,7 @@ def run_solve(cfg: dict) -> RegularityReport:
 
     rows: list[SeminormRow] = []
     checks: dict = {}
-    _seminorm_ladder(cfg, A, rows)
+    _seminorm_ladder(cfg, A, rows, checks)
     if cfg["analysis"]["extension_constants"]:
         _extension_rows(A, rows, checks)
     diagnostics.update(checks)
@@ -332,7 +346,7 @@ def run_analyze(cfg: dict) -> RegularityReport:
     A = _build_coefficient(cfg, grid, mesh)
     rows: list[SeminormRow] = []
     checks: dict = {}
-    _seminorm_ladder(cfg, A, rows)
+    _seminorm_ladder(cfg, A, rows, checks)
     _extension_rows(A, rows, checks)
     return RegularityReport(
         experiment_id=cfg["experiment_id"],

@@ -19,7 +19,7 @@ from maxreg.bmo import (
     sliding_family,
 )
 from maxreg.coefficients import mollifier_kernel, mollify
-from maxreg.timefourier import TimeGrid, TimeSignal
+from maxreg.timefourier import TimeGrid, TimeSignal, UniformGrid
 
 
 def sig(grid, fn):
@@ -278,3 +278,210 @@ class TestMollifierKernel:
         g = TimeGrid(0.0, 1.0, 256)
         k = mollifier_kernel(g, 16)
         assert abs(k.sum() * g.dt - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The lag-blocked functionals against the dense n x n evaluation they replace.
+# The reference below is the former dense implementation, kept only here.
+
+
+def _dense_ratios(f, exponent):
+    """R[i, j] = max_entries |f_i - f_j|^2 / |t_i - t_j|^exponent, diag 0."""
+    v = np.asarray(f.values)
+    g = v.reshape(v.shape[0], -1)
+    t = f.grid.points
+    dt_gap = np.abs(t[:, None] - t[None, :])
+    np.fill_diagonal(dt_gap, 1.0)
+    num = np.zeros((f.n, f.n))
+    for k in range(g.shape[1]):
+        col = g[:, k]
+        np.maximum(num, np.abs(col[:, None] - col[None, :]) ** 2, out=num)
+    R = num / dt_gap**exponent
+    np.fill_diagonal(R, 0.0)
+    return R
+
+
+def dense_half_sobolev(f, fam):
+    S = _dense_ratios(f, 2.0).cumsum(axis=0).cumsum(axis=1)
+    dt = f.grid.dt
+    best, best_iv = 0.0, None
+    for a, b in fam.intervals:
+        tot = S[b - 1, b - 1]
+        if a > 0:
+            tot -= S[a - 1, b - 1] + S[b - 1, a - 1] - S[a - 1, a - 1]
+        val = tot * dt * dt / ((b - a) * dt)
+        if val > best:
+            best, best_iv = float(val), fam.seconds((a, b))
+    return best, best_iv
+
+
+def dense_frac_sobolev(f, alpha, i0, i1):
+    dt = f.grid.dt
+    return float(_dense_ratios(f, 2.0 * alpha + 1.0)[i0:i1, i0:i1].sum() * dt * dt)
+
+
+def dense_holder(f, alpha):
+    R = _dense_ratios(f, 2.0 * alpha)
+    i, j = np.unravel_index(int(np.argmax(R)), R.shape)
+    t = f.grid.points
+    return float(np.sqrt(R[i, j])), (min(t[i], t[j]), max(t[i], t[j]))
+
+
+def dense_dini(f, q):
+    v = np.asarray(f.values)
+    g = v.reshape(v.shape[0], -1)
+    n, dt = f.n, f.grid.dt
+    m_max = min(n - 1, int(round(f.grid.period / dt)))
+    lags = np.arange(1, m_max + 1)
+    sup = np.array([np.abs(g[m:] - g[:-m]).max() for m in lags])
+    terms = sup**q * dt / ((lags * dt) ** (1.0 + q / 2.0))
+    incs, j = [], 0
+    while (1 << j) <= m_max:
+        incs.append(float(terms[(1 << j) - 1:min((1 << (j + 1)) - 1, m_max)].sum()))
+        j += 1
+    return float(terms.sum()), incs
+
+
+def dense_bmo(f, fam):
+    v = np.asarray(f.values)
+    g = v.reshape(v.shape[0], -1)
+    best = 0.0
+    for a, b in fam.intervals:
+        seg = g[a:b]
+        best = max(best, float(np.abs(seg - seg.mean(axis=0)).mean(axis=0).max()))
+    return best
+
+
+def close(got, want, rel=1e-12):
+    return abs(got - want) <= rel * abs(want)
+
+
+@st.composite
+def signals(draw):
+    """Scalar or 2x2, real or complex signals on power-of-two and 3n grids:
+    random, constant, or steps (many tied ratios)."""
+    n = draw(st.sampled_from([8, 12, 16, 24, 32, 48, 64, 96, 128]))
+    if n & (n - 1) == 0 and draw(st.booleans()):
+        grid = TimeGrid(0.0, 1.0, n)
+    else:                                # the 3n reflection grid of extend_reflect
+        grid = UniformGrid(-1.0, 2.0, n)
+    shape = (n,) if draw(st.booleans()) else (n, 2, 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "random", "constant", "step"]))
+    if kind == "random":
+        vals = rng.standard_normal(shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        if draw(st.booleans()):
+            vals = vals + 1j * rng.standard_normal(shape)
+    elif kind == "constant":
+        vals = np.full(shape, 2.5 + 0.5j)
+    else:
+        vals = rng.integers(0, 3, shape).astype(float)
+    return TimeSignal(grid, np.asarray(vals, dtype=complex))
+
+
+@st.composite
+def families(draw, grid):
+    style = draw(st.sampled_from(["dyadic", "unshifted", "sliding"]))
+    if style == "sliding":
+        return sliding_family(grid)
+    return dyadic_family(grid, shifted=style == "dyadic")
+
+
+class TestLagKernelMatchesDense:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_half_sobolev(self, data):
+        f = data.draw(signals())
+        fam = data.draw(families(f.grid))
+        res = scale_invariant_half_sobolev(f, fam)
+        value, interval = dense_half_sobolev(f, fam)
+        assert close(res.value, value)
+        assert res.achieving_interval == interval
+
+    @given(st.data(), st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
+    @settings(max_examples=60, deadline=None)
+    def test_frac_sobolev_window(self, data, alpha):
+        f = data.draw(signals())
+        i0 = data.draw(st.integers(0, f.n - 2))
+        i1 = data.draw(st.integers(i0 + 2, f.n))
+        t = f.grid.points
+        window = (t[i0], t[i1] if i1 < f.n else f.grid.t_end)
+        got = frac_sobolev_seminorm(f, alpha, window).value
+        assert close(got, dense_frac_sobolev(f, alpha, i0, i1))
+
+    @given(st.data(), st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.6, 1.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_holder_bitwise(self, data, alpha):
+        f = data.draw(signals())
+        res = holder_constant(f, alpha)
+        value, interval = dense_holder(f, alpha)
+        assert res.value == value
+        assert res.achieving_interval == interval
+
+    @given(st.data(), st.sampled_from([1.0, 1.5, 2.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_dini_value_and_increments(self, data, q):
+        f = data.draw(signals())
+        res = dini_integral(f, q)
+        value, incs = dense_dini(f, q)
+        assert close(res.value, value)
+        assert len(res.extra["octave_increments"]) == len(incs)
+        assert all(close(a, b) for a, b in zip(res.extra["octave_increments"], incs))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bmo(self, data):
+        f = data.draw(signals())
+        fam = data.draw(families(f.grid))
+        res = bmo_seminorm(f, fam)
+        assert close(res.value, dense_bmo(f, fam))
+        assert (res.achieving_interval is None) == (res.value == 0.0)
+
+    def test_holder_ties_keep_dense_choice(self):
+        # a unit step every 8 samples: every jump gives the same Hoelder
+        # ratio, and the earliest pair wins as in the dense row-major argmax
+        g = TimeGrid(0.0, 1.0, 64)
+        f = TimeSignal(g, (np.arange(64) // 8).astype(complex))
+        res = holder_constant(f, 0.5)
+        assert (res.value, res.achieving_interval) == dense_holder(f, 0.5)
+        assert res.achieving_interval[0] == g.points[7]
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("seed", [3, 1225396541])
+    def test_half_sobolev_ties_keep_dense_choice(self, n, seed):
+        # the lacunary holder series has period T/2, so the largest interval
+        # value ties with its copy half a window on and only rounding tells
+        # them apart: the tie must go where the dense prefix sums sent it
+        from maxreg.coefficients import generate_family
+        from maxreg.fem import SpaceMesh
+
+        g = TimeGrid(0.0, 1.0, n)
+        f = generate_family("holder", g, SpaceMesh(0.0, 1.0, 4), seed=seed, alpha=0.5).column(0)
+        fam = dyadic_family(g)
+        res = scale_invariant_half_sobolev(f, fam)
+        assert (res.value, res.achieving_interval) == dense_half_sobolev(f, fam)
+
+    def test_all_zero_signal_has_no_achieving_interval(self):
+        g = TimeGrid(0.0, 1.0, 32)
+        assert bmo_seminorm(const(g), sliding_family(g)).achieving_interval is None
+        assert scale_invariant_half_sobolev(const(g), dyadic_family(g)).achieving_interval is None
+        res = holder_constant(const(g), 0.5)
+        assert res.achieving_interval == (g.points[0], g.points[0])
+
+
+class TestLagKernelMemory:
+    def test_n8192_peak_below_128_mib(self):
+        # the dense n x n evaluation needed about 2 GB at this size
+        import tracemalloc
+
+        g = TimeGrid(0.0, 1.0, 8192)
+        f = sig(g, lambda t: np.abs(t - 0.5) ** 0.3)
+        fam = dyadic_family(g)
+        tracemalloc.start()
+        try:
+            scale_invariant_half_sobolev(f, fam)
+            holder_constant(f, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20

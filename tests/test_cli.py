@@ -132,6 +132,35 @@ class TestSolveBehavior:
         import glob
         assert glob.glob(prefix + "*"), "extended coefficient not saved"
 
+    def test_mollified_ladder_is_native_only_with_null_flags(self, tmp_path):
+        # a mollified field cannot be regenerated at 512 or 1024 points, so
+        # the refinement flags are null rather than read off resampled data
+        code = run_cli("analyze", "sqrt-product",
+                       "--set", "coefficient.mollify_width=4",
+                       "--set", "analysis.resolutions=[512,1024]",
+                       outdir=tmp_path)
+        assert code == EXIT_OK
+        rep = load_report(str(tmp_path / "sqrt-product.report.json"))
+        ladder = {r.functional: r for r in rep.seminorms
+                  if r.functional in ("bmo", "scale_invariant_half_sobolev", "holder", "dini")}
+        assert set(ladder) == {"bmo", "scale_invariant_half_sobolev", "holder", "dini"}
+        for name in ("bmo", "scale_invariant_half_sobolev", "holder"):
+            assert ladder[name].divergent_flag is None
+        assert isinstance(ladder["dini"].divergent_flag, bool)
+        assert all(r.resolution == 256 for r in ladder.values())
+        assert "mollify4" in rep.diagnostics["ladder"]
+
+    def test_family_ladder_measures_refinement(self, tmp_path):
+        code = run_cli("analyze", "sqrt-product",
+                       "--set", "analysis.resolutions=[512,1024]",
+                       outdir=tmp_path)
+        assert code == EXIT_OK
+        rep = load_report(str(tmp_path / "sqrt-product.report.json"))
+        half = next(r for r in rep.seminorms if r.functional == "scale_invariant_half_sobolev")
+        assert half.resolution == 1024
+        assert isinstance(half.divergent_flag, bool)
+        assert "ladder" not in rep.diagnostics
+
     def test_commutator_subcommand(self, tmp_path):
         code = run_cli("commutator", "sqrt-product",
                        "--set", "time.n_points=128",
