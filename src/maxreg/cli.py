@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import copy
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -48,12 +49,17 @@ from .fem import MeshError, SpaceMesh
 from .norms import SpaceTimeField, l2h_norm, l2v_grad_norm, maxreg_ratio, sobolev_norm
 from .report import RegularityReport, SeminormRow, emit_report
 from .solver import SolverError, autonomous_oracle, cauchy_solve
-from .timefourier import GridError, SignalError, TimeGrid, frac_derivative
+from .timefourier import GridError, SignalError, TimeGrid, TimeSignal, frac_derivative
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
+
+# One sweep pool per worker count for the whole process.  A fresh pool per sweep
+# may start its threads before the last pool's have released their malloc
+# arenas; each extra arena then keeps ~30 MB of freed solver buffers resident.
+_sweep_pool = functools.cache(concurrent.futures.ThreadPoolExecutor)
 
 DEFAULT_CONFIG = {
     "experiment_id": "experiment",
@@ -143,6 +149,9 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
         if keys[-1] not in node:
             raise ConfigError(f"unknown config key {dotted!r}")
         node[keys[-1]] = value
+    if cfg["output"]["format"] not in ("json", "csv"):
+        raise ConfigError(f"output.format must be 'json' or 'csv', got "
+                          f"{cfg['output']['format']!r}")
     return cfg
 
 
@@ -193,73 +202,70 @@ def _output_path(cfg: dict, suffix: str) -> str:
     return os.path.join(directory, f"{cfg['experiment_id']}{suffix}")
 
 
-def _seminorm_ladder(cfg: dict, A: CoefficientField, rows: list[SeminormRow],
-                     diagnostics: dict) -> None:
-    """All requested time-regularity functionals of A(., x_0), with the
-    refinement-based divergence flags when extra resolutions are configured.
+def _ladder_rungs(cfg: dict, A: CoefficientField, diagnostics: dict) -> list[TimeSignal]:
+    """Column 0 of the coefficient at each ladder resolution, coarsest first.
 
-    Only a generated family can be sampled afresh at other resolutions.  A
-    coefficient file or a mollified field is measured at its own resolution,
-    and its refinement flags are null: resampling adds no fine-scale content,
-    so a flag from resampled data would claim a measurement never made.
+    The native rung is read off A; every other rung is built afresh by
+    `_build_coefficient`.  Only a generated family can be sampled afresh at
+    other resolutions: a coefficient file or a mollified field (whose
+    mollifier would narrow with n) has the native rung only, and a
+    `diagnostics.ladder` note says why its refinement flags are null.
     """
-    a = A.column(0)
-    want = set(cfg["analysis"]["seminorms"])
-    regenerable = not cfg["coefficient"]["file"] and A.kind in FAMILY_KINDS
-    if regenerable:
-        resolutions = sorted({A.time_grid.n_points, *cfg["analysis"]["resolutions"]})
-    else:
-        resolutions = [A.time_grid.n_points]
+    native = A.time_grid.n_points
+    if cfg["coefficient"]["file"] or A.kind not in FAMILY_KINDS:
         diagnostics["ladder"] = (
             f"coefficient kind {A.kind!r} cannot be regenerated at other resolutions: "
-            "functionals measured at the native resolution only, refinement flags null")
-    threshold = cfg["analysis"]["divergence_threshold"]
+            "measured at the native resolution only, refinement flags null")
+        return [A.column(0)]
+    return [(A if n == native else _build_coefficient(
+                 cfg, dataclasses.replace(A.time_grid, n_points=n), A.mesh)).column(0)
+            for n in sorted({native, *cfg["analysis"]["resolutions"]})]
 
-    def signal_at(n: int):
-        if n == A.time_grid.n_points:
-            return a
-        g = TimeGrid(A.time_grid.t_start, A.time_grid.t_end, n)
-        return generate_family(
-            A.kind, g, A.mesh,
-            seed=cfg["coefficient"]["seed"], amp=cfg["coefficient"]["amp"],
-            alpha=cfg["coefficient"]["alpha"], t0=cfg["coefficient"]["t0"],
-            value=cfg["coefficient"]["value"],
-            space_profile=cfg["coefficient"]["space_profile"],
-        ).column(0)
 
-    def ladder(label, order, evaluate, verdict_fn=None):
-        values = []
-        last = None
-        for n in resolutions:
-            last = evaluate(signal_at(n))
-            values.append(last.value)
-        divergent = None
-        if verdict_fn is not None:
-            divergent = verdict_fn(values, last)
+def _refinement_flag(cfg: dict, values: list[float]) -> bool | None:
+    """Divergence flag of values measured up the ladder: null below 3 rungs,
+    since growth cannot be told from fewer."""
+    if len(values) < 3:
+        return None
+    return refinement_verdict(
+        values, threshold=cfg["analysis"]["divergence_threshold"]).divergent
+
+
+def _seminorm_ladder(cfg: dict, A: CoefficientField, rows: list[SeminormRow],
+                     diagnostics: dict) -> None:
+    """All requested time-regularity functionals of A(., x_0) up the ladder,
+    with the refinement-based divergence flags (Dini keeps its one-grid
+    verdict on the finest rung)."""
+    want = set(cfg["analysis"]["seminorms"])
+    if not want:
+        return
+    rungs = _ladder_rungs(cfg, A, diagnostics)
+
+    def row(label, order, last, divergent):
         rows.append(SeminormRow(
             functional=label, order=order, value=last.value,
             achieving_interval=last.achieving_interval,
-            resolution=resolutions[-1], divergent_flag=divergent,
+            resolution=rungs[-1].n, divergent_flag=divergent,
             seed=cfg["coefficient"]["seed"],
         ))
 
-    growth = (lambda vals, _last: refinement_verdict(vals, threshold=threshold).divergent
-              if len(vals) >= 3 else None)
+    def ladder(label, order, evaluate):
+        results = [evaluate(s) for s in rungs]
+        row(label, order, results[-1], _refinement_flag(cfg, [r.value for r in results]))
+
     if "bmo" in want:
         ladder("bmo", None,
-               lambda s: bmo_seminorm(frac_derivative(s, 0.5), dyadic_family(s.grid)),
-               growth)
+               lambda s: bmo_seminorm(frac_derivative(s, 0.5), dyadic_family(s.grid)))
     if "half_sobolev" in want:
         ladder("scale_invariant_half_sobolev", 0.5,
-               lambda s: scale_invariant_half_sobolev(s, dyadic_family(s.grid)),
-               growth)
+               lambda s: scale_invariant_half_sobolev(s, dyadic_family(s.grid)))
     if "holder" in want:
         ha = cfg["analysis"]["holder_alpha"]
-        ladder("holder", ha, lambda s: holder_constant(s, ha), growth)
+        ladder("holder", ha, lambda s: holder_constant(s, ha))
     if "dini" in want:
         for q in cfg["analysis"]["dini_q"]:
-            ladder("dini", q, lambda s, q=q: dini_integral(s, q=q),
-                   lambda _vals, last: dini_verdict(last).divergent)
+            last = dini_integral(rungs[-1], q=q)
+            row("dini", q, last, dini_verdict(last).divergent)
 
 
 def _extension_rows(A: CoefficientField, rows: list[SeminormRow],
@@ -272,8 +278,6 @@ def _extension_rows(A: CoefficientField, rows: list[SeminormRow],
     n = A.time_grid.n_points
     T = A.T
     two = TimeGrid(A.time_grid.t_start - T, A.time_grid.t_start + T, 2 * n)
-    from .timefourier import TimeSignal
-
     v2 = scale_invariant_half_sobolev(TimeSignal(two, af.values[:2 * n]),
                                       dyadic_family(two)).value
     v3 = scale_invariant_half_sobolev(af, dyadic_family(af.grid)).value
@@ -379,28 +383,25 @@ def run_extend(cfg: dict) -> RegularityReport:
 
 
 def run_commutator(cfg: dict) -> RegularityReport:
-    """[a, D^alpha] probe across the configured resolutions with the
-    refinement-based divergence flag."""
+    """[a, D^alpha] probe up the ladder's rungs with the refinement-based
+    divergence flag."""
     mesh = _build_mesh(cfg)
-    resolutions = sorted({cfg["time"]["n_points"], *cfg["analysis"]["resolutions"]})
-    threshold = cfg["analysis"]["divergence_threshold"]
+    grid = TimeGrid(0.0, cfg["time"]["T"], cfg["time"]["n_points"])
+    A = _build_coefficient(cfg, grid, mesh)
+    diagnostics: dict = {}
+    rungs = _ladder_rungs(cfg, A, diagnostics)
+    diagnostics["resolutions"] = [s.n for s in rungs]
     rows: list[SeminormRow] = []
-    diagnostics: dict = {"resolutions": resolutions}
     for alpha in cfg["analysis"]["alphas"]:
-        estimates = []
-        probe = None
-        for n in resolutions:
-            grid = TimeGrid(0.0, cfg["time"]["T"], n)
-            A = _build_coefficient(cfg, grid, mesh)
-            probe = commutator_norm_estimate(A.column(0), alpha,
-                                             seed=cfg["coefficient"]["seed"])
-            estimates.append(probe.estimate)
-        divergent = (refinement_verdict(estimates, threshold=threshold).divergent
-                     if len(estimates) >= 3 else None)
+        probes = [commutator_norm_estimate(s, alpha, seed=cfg["coefficient"]["seed"])
+                  for s in rungs]
+        estimates = [p.estimate for p in probes]
+        probe = probes[-1]
         rows.append(SeminormRow(
             functional="commutator_norm", order=alpha, value=probe.estimate,
-            achieving_interval=None, resolution=resolutions[-1],
-            divergent_flag=divergent, seed=cfg["coefficient"]["seed"],
+            achieving_interval=None, resolution=rungs[-1].n,
+            divergent_flag=_refinement_flag(cfg, estimates),
+            seed=cfg["coefficient"]["seed"],
         ))
         diagnostics[f"alpha_{alpha}"] = {
             "estimates": estimates,
@@ -412,47 +413,45 @@ def run_commutator(cfg: dict) -> RegularityReport:
         experiment_id=cfg["experiment_id"],
         coefficient={"kind": cfg["coefficient"]["kind"],
                      "seed": cfg["coefficient"]["seed"]},
-        resolutions={"n_t": resolutions[-1], "n_x": mesh.n_cells},
+        resolutions={"n_t": rungs[-1].n, "n_x": mesh.n_cells},
         seminorms=rows, diagnostics=diagnostics,
     )
 
 
-def _sweep_point(cfg: dict, axis: str, value) -> RegularityReport:
+def _sweep_point(cfg: dict, axis: str, value) -> dict:
+    """The report of one sweep point as a dict, or its error: a failing
+    point is recorded and the sweep continues."""
     point = copy.deepcopy(cfg)
-    if axis == "resolution":
-        point["time"]["n_points"] = int(value)
-        point["experiment_id"] += f".n{int(value)}"
-    elif axis == "alpha":
-        point["analysis"]["alphas"] = [float(value)]
-        point["experiment_id"] += f".a{value}"
-    elif axis == "family":
-        point["coefficient"]["kind"] = str(value)
-        point["experiment_id"] += f".{value}"
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    return run_solve(point)
+    try:
+        if axis == "resolution":
+            point["time"]["n_points"] = int(value)
+            point["experiment_id"] += f".n{int(value)}"
+        elif axis == "alpha":
+            point["analysis"]["alphas"] = [float(value)]
+            point["experiment_id"] += f".a{value}"
+        elif axis == "family":
+            point["coefficient"]["kind"] = str(value)
+            point["experiment_id"] += f".{value}"
+        else:
+            raise ConfigError(f"unknown sweep axis {axis!r}")
+        return run_solve(point).to_dict()
+    except Exception as exc:  # noqa: BLE001 - per-point isolation
+        return {"error": str(exc), "error_type": type(exc).__name__}
 
 
 def run_sweep(cfg: dict, axis: str, values: list, workers: int = 2) -> dict:
-    """One run_solve per point, concurrently; partial failures are recorded
-    per point and the sweep continues."""
-    results: dict = {"axis": axis, "points": {}}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_sweep_point, cfg, axis, v): v for v in values}
-        for fut in concurrent.futures.as_completed(futures):
-            v = futures[fut]
-            try:
-                results["points"][str(v)] = fut.result().to_dict()
-            except Exception as exc:  # noqa: BLE001 - per-point isolation
-                results["points"][str(v)] = {"error": str(exc),
-                                             "error_type": type(exc).__name__}
-    return results
+    """One run_solve per point on `workers` threads, written in `values`
+    order.  Sweep output is JSON only."""
+    if cfg["output"]["format"] != "json":
+        raise ConfigError(f"sweep output is JSON only, got output.format "
+                          f"{cfg['output']['format']!r}")
+    points = _sweep_pool(workers).map(lambda v: _sweep_point(cfg, axis, v), values)
+    return {"axis": axis, "points": dict(zip(map(str, values), points))}
 
 
 def _write(cfg: dict, report: RegularityReport) -> str:
     fmt = cfg["output"]["format"]
-    path = _output_path(cfg, ".report." + ("csv" if fmt == "csv" else "json"))
-    return emit_report(report, path, format=fmt)
+    return emit_report(report, _output_path(cfg, ".report." + fmt), format=fmt)
 
 
 def bundled_config_path(name: str) -> str:

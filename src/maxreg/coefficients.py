@@ -59,12 +59,13 @@ class CoefficientField:
 
         Scalar (1x1) coefficients come back as a plain (n,) signal so they
         compose directly with the multiplier-based operators; matrix-valued
-        ones keep their trailing (d, d) axes.
+        ones keep their trailing (d, d) axes.  The samples are a copy, so a
+        held column does not pin the whole field.
         """
         col = self.values[:, ix]
         if self.dim == 1:
             col = col[:, 0, 0]
-        return TimeSignal(self.time_grid, col)
+        return TimeSignal(self.time_grid, col.copy())
 
     def scalar_cells(self) -> np.ndarray:
         """(nt, nx) scalar samples; requires dim == 1 (the solver's case)."""

@@ -1,9 +1,11 @@
 """End-to-end command-line runs: bundled configs, validation and I/O exit
 codes, determinism, and sweeps with per-point failure isolation."""
 import json
+import threading
 
 import pytest
 
+import maxreg.cli as cli
 from maxreg.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -12,7 +14,10 @@ from maxreg.cli import (
     bundled_config_path,
     main,
 )
+from maxreg.coefficients import generate_family, save_field
+from maxreg.fem import SpaceMesh
 from maxreg.report import load_report
+from maxreg.timefourier import TimeGrid
 
 
 def run_cli(*args, outdir):
@@ -80,6 +85,24 @@ class TestValidation:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run_cli("solve", str(path), outdir=tmp_path) == EXIT_IO
+
+    def test_unknown_output_format_rejected_before_running(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_solve", ran.append)
+        code = run_cli("solve", "autonomous-dirichlet",
+                       "--set", 'output.format="xml"', outdir=tmp_path)
+        assert code == EXIT_VALIDATION
+        assert ran == []
+
+    def test_sweep_rejects_csv_before_any_point(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_solve", ran.append)
+        code = run_cli("sweep", "autonomous-dirichlet", "--axis", "resolution",
+                       "--values", "64", "--set", 'output.format="csv"',
+                       outdir=tmp_path)
+        assert code == EXIT_VALIDATION
+        assert ran == []
+        assert not (tmp_path / "autonomous-dirichlet.sweep.json").exists()
 
     def test_bad_coefficient_kind(self, tmp_path):
         code = run_cli("solve", "autonomous-dirichlet",
@@ -174,7 +197,74 @@ class TestSolveBehavior:
         assert len(rep.diagnostics["alpha_0.5"]["estimates"]) == 3
 
 
+class TestLadderRungs:
+    def test_each_rung_generated_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(kind, grid, *args, **kwargs):
+            calls.append(grid.n_points)
+            return generate_family(kind, grid, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_family", counting)
+        code = run_cli("analyze", "sqrt-product",
+                       "--set", "analysis.resolutions=[512,1024]",
+                       outdir=tmp_path)
+        assert code == EXIT_OK
+        assert sorted(calls) == [256, 512, 1024]
+
+    def test_commutator_on_coefficient_file_is_native_only(self, tmp_path):
+        A = generate_family("sqrt_product", TimeGrid(0.0, 1.0, 256),
+                            SpaceMesh(0.0, 1.0, 64), amp=0.5)
+        prefix = str(tmp_path / "field")
+        save_field(A, prefix)
+        # the bundled config asks for 512 and 1024 as well
+        code = run_cli("commutator", "sqrt-product",
+                       "--set", f"coefficient.file={json.dumps(prefix)}",
+                       outdir=tmp_path)
+        assert code == EXIT_OK
+        rep = load_report(str(tmp_path / "sqrt-product.report.json"))
+        row = next(r for r in rep.seminorms if r.functional == "commutator_norm")
+        assert row.divergent_flag is None
+        assert row.resolution == 256
+        assert rep.diagnostics["resolutions"] == [256]
+        assert "ladder" in rep.diagnostics
+
+    def test_mollified_commutator_flag_is_null(self, tmp_path):
+        code = run_cli("commutator", "sqrt-product",
+                       "--set", "coefficient.mollify_width=4",
+                       outdir=tmp_path)
+        assert code == EXIT_OK
+        rep = load_report(str(tmp_path / "sqrt-product.report.json"))
+        row = next(r for r in rep.seminorms if r.functional == "commutator_norm")
+        assert row.divergent_flag is None
+        assert rep.diagnostics["resolutions"] == [256]
+        assert "mollify4" in rep.diagnostics["ladder"]
+
+
 class TestSweep:
+    def test_points_written_in_values_order(self, tmp_path):
+        # the 512-point solve finishes last, but is written first
+        assert run_cli("sweep", "autonomous-dirichlet", "--axis", "resolution",
+                       "--values", "512,64", outdir=tmp_path) == EXIT_OK
+        with open(tmp_path / "autonomous-dirichlet.sweep.json") as fh:
+            sweep = json.load(fh)
+        assert list(sweep["points"]) == ["512", "64"]
+
+    def test_sweeps_reuse_one_pool(self, monkeypatch):
+        # a new pool per sweep would run on new threads, and so on new malloc arenas
+        names = []
+
+        def point(cfg, axis, value):
+            names.append(threading.current_thread().name)
+            return {}
+
+        monkeypatch.setattr(cli, "_sweep_point", point)
+        cfg = cli.load_config(cli.bundled_config_path("autonomous-dirichlet"))
+        for _ in range(3):
+            cli.run_sweep(cfg, "resolution", ["64", "128", "256"], workers=2)
+        assert len(names) == 9
+        assert len(set(names)) <= 2
+
     def test_singleton_sweep_matches_solve(self, tmp_path):
         assert run_cli("sweep", "autonomous-dirichlet", "--axis", "resolution",
                        "--values", "128", outdir=tmp_path) == EXIT_OK

@@ -256,6 +256,16 @@ class TestFamilies:
         assert max(hold) <= 1.25 * min(hold)  # Hoelder constant stays stable
 
 
+class TestColumn:
+    @pytest.mark.parametrize("value", [1.5, [[2.0, 0.5], [0.0, 3.0]]])
+    def test_column_is_a_copy(self, value):
+        # a held column must not pin the whole field
+        A = generate_family("constant", GRID, MESH, value=value)
+        col = A.column(0)
+        assert not np.shares_memory(A.values, col.values)
+        np.testing.assert_array_equal(col.values, A.values[:, 0].reshape(col.values.shape))
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         A = generate_family("sqrt_product", GRID, MESH, amp=0.4, seed=3)
