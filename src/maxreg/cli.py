@@ -55,6 +55,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
+SEMINORMS = ("bmo", "half_sobolev", "holder", "dini")
 
 # One sweep pool per worker count for the whole process.  A fresh pool per sweep
 # may start its threads before the last pool's have released their malloc
@@ -95,7 +96,7 @@ DEFAULT_CONFIG = {
         "mode": 1,
     },
     "analysis": {
-        "seminorms": ["bmo", "half_sobolev", "holder", "dini"],
+        "seminorms": list(SEMINORMS),
         "alphas": [0.5],
         "dini_q": [1.0],
         "holder_alpha": 0.5,
@@ -152,6 +153,10 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
     if cfg["output"]["format"] not in ("json", "csv"):
         raise ConfigError(f"output.format must be 'json' or 'csv', got "
                           f"{cfg['output']['format']!r}")
+    seminorms = cfg["analysis"]["seminorms"]
+    if not isinstance(seminorms, list) or any(s not in SEMINORMS for s in seminorms):
+        raise ConfigError(f"analysis.seminorms must name only {', '.join(SEMINORMS)}; "
+                          f"got {seminorms!r}")
     return cfg
 
 

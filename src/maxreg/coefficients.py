@@ -27,14 +27,18 @@ class NotElliptic(CoefficientError):
 
 @dataclass
 class CoefficientField:
+    """Samples of A(t, x).  `lam`/`Lam` are the certificate of these samples,
+    computed at every construction (`dataclasses.replace` included); a field
+    whose certified lower bound is not positive cannot be built."""
+
     time_grid: UniformGrid
     mesh: SpaceMesh
     values: np.ndarray  # (nt, nx, d, d) complex
-    lam: float
-    Lam: float
     T: float
     kind: str = "custom"
     seed: int | None = None
+    lam: float = field(init=False)
+    Lam: float = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -45,6 +49,9 @@ class CoefficientField:
             raise CoefficientError(
                 f"values shape {self.values.shape} inconsistent with grid/mesh"
             )
+        self.lam, self.Lam = certify_ellipticity(self.values)
+        if self.lam <= 0:
+            raise NotElliptic(f"certified lower bound {self.lam} <= 0")
 
     @property
     def dim(self) -> int:
@@ -73,31 +80,36 @@ class CoefficientField:
             raise CoefficientError("solver path requires scalar (1x1) coefficients")
         return self.values[:, :, 0, 0]
 
-    def time_average(self) -> np.ndarray:
-        """Mean over time, shape (nx, d, d)."""
-        return self.values.mean(axis=0)
-
 
 def certify_ellipticity(A: CoefficientField | np.ndarray) -> tuple[float, float]:
     """Largest lambda and smallest Lambda valid over all samples.
 
     lambda_hat = min eigenvalue of the Hermitian part, Lambda_hat = max
-    spectral norm; both over every (t, x) sample.
+    spectral norm; both over every (t, x) sample.  A 1x1 sample a has the
+    closed form Re a and |a|, with |a| = w sqrt(1 + (v/w)^2), w >= v the
+    moduli of Re a and Im a: LAPACK's rounding, so it is bitwise the svd's.
     """
     vals = A.values if isinstance(A, CoefficientField) else np.asarray(A, dtype=complex)
     mats = vals.reshape(-1, vals.shape[-2], vals.shape[-1])
     if not np.all(np.isfinite(mats)):
         raise CoefficientError("coefficient contains non-finite samples")
+    if mats.shape[-1] == 1:
+        # in place: at most three real arrays of the sample count at once
+        a = mats[:, 0, 0]
+        v, im = np.abs(a.real), np.abs(a.imag)
+        w = np.maximum(v, im)
+        np.minimum(v, im, out=v)
+        del im
+        np.divide(v, w, out=v, where=w > 0)  # v = 0 where w = 0
+        v *= v
+        v += 1.0
+        np.sqrt(v, out=v)
+        v *= w
+        return float(a.real.min()), float(v.max())
     herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
     lam_hat = float(np.linalg.eigvalsh(herm)[:, 0].min())
     Lam_hat = float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
     return lam_hat, Lam_hat
-
-
-def require_elliptic(A: CoefficientField) -> None:
-    lam_hat, _ = certify_ellipticity(A)
-    if lam_hat <= 0:
-        raise NotElliptic(f"certified lower bound {lam_hat} <= 0")
 
 
 @dataclass(frozen=True)
@@ -154,19 +166,15 @@ def extend_full(A: CoefficientField, window_factor: int = 4) -> CoefficientField
     _check_base_window(A)
     if window_factor < 4:
         raise CoefficientError("window must cover [-T, 3T] at least")
-    n = A.n_t
-    T = A.T
-    flat = extend_reflect(A)
-    n_win = window_factor * n
-    grid = TimeGrid(-T, (window_factor - 1) * T, n_win)
+    cutoff = cutoff_profile(A, window_factor)
     d = A.dim
-    eye = np.eye(d)
-    out = np.empty((n_win, A.mesh.n_cells, d, d), dtype=complex)
-    out[: 3 * n] = flat.values
-    out[3 * n :] = 0.0  # zero extension of the reflected block
-    phi = CutoffProfile(T, grid).values[:, None, None, None]
-    blended = phi * out + (1.0 - phi) * (A.lam * eye)
-    return replace(A, time_grid=grid, values=blended, kind=A.kind + "+extend")
+    out = np.zeros((cutoff.grid.n_points, A.mesh.n_cells, d, d), dtype=complex)
+    out[: 3 * A.n_t] = extend_reflect(A).values  # zero beyond the reflected block
+    # blended in place, so the certificate's scratch is the only copy made
+    phi = cutoff.values[:, None, None, None]
+    out *= phi
+    out += (1.0 - phi) * (A.lam * np.eye(d))
+    return replace(A, time_grid=cutoff.grid, values=out, kind=A.kind + "+extend")
 
 
 def cutoff_profile(A: CoefficientField, window_factor: int = 4) -> CutoffProfile:
@@ -199,7 +207,8 @@ def mollifier_kernel(grid: TimeGrid, n: int) -> np.ndarray:
 def mollify(A: CoefficientField, n: int) -> CoefficientField:
     """Circular convolution in time with the unit-mass bump rho_n.
 
-    A convex average of samples: the ellipticity certificate carries over.
+    A convex average of samples, so its own certificate is at least as tight
+    as A's.
     """
     kern = mollifier_kernel(A.time_grid, n)
     smoothed = fourier_multiplier(A.values, np.fft.fft(kern)) * A.time_grid.dt
@@ -290,17 +299,11 @@ def generate_family(
         vals = np.broadcast_to(prof[:, None, None, None], (nt, nx, 1, 1)).astype(complex).copy()
     else:
         raise CoefficientError(f"unknown family kind {kind!r}; choose from {FAMILY_KINDS}")
-    lam_hat, Lam_hat = certify_ellipticity(vals)
-    if lam_hat <= 0:
-        raise NotElliptic(f"family parameters yield lower bound {lam_hat} <= 0")
-    T = time_grid.period if time_grid.t_start == 0.0 else time_grid.t_end - time_grid.t_start
     return CoefficientField(
         time_grid=time_grid,
         mesh=mesh,
         values=vals,
-        lam=lam_hat,
-        Lam=Lam_hat,
-        T=T,
+        T=time_grid.period,
         kind=kind,
         seed=seed,
     )
@@ -356,8 +359,6 @@ def load_field(path_prefix: str) -> CoefficientField:
         time_grid=TimeGrid(tg["t_start"], tg["t_end"], tg["n_points"]),
         mesh=SpaceMesh(ms["x_lo"], ms["x_hi"], ms["n_cells"], ms["bc_left"], ms["bc_right"]),
         values=vals,
-        lam=header["lambda"],
-        Lam=header["Lambda"],
         T=header["T"],
         kind=header["kind"],
         seed=header["seed"],

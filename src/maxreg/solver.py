@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import fem, norms
-from .coefficients import CoefficientField, extend_full, mollify, require_elliptic
+from .coefficients import CoefficientField, extend_full
 from .norms import SpaceTimeField, zero_field
 from .timefourier import GridError, fourier_multiplier
 
@@ -43,12 +43,6 @@ class FormParameters:
             raise ValueError("need Re theta > 0")
         if not (0 < self.delta < 1):
             raise ValueError("need delta in (0, 1)")
-
-    @property
-    def eta(self) -> float:
-        # quasi-coercivity shift; equals the ellipticity lower bound for
-        # divergence-form coefficients
-        return self.lam
 
 
 @dataclass
@@ -82,7 +76,6 @@ def apply_L(u: SpaceTimeField, A: CoefficientField, theta: complex = 0.0) -> Spa
     """(theta + L)u in H-representer form: exact i*tau time symbol plus the
     per-slice stiffness action Minv K(t) u.  Matrix-free."""
     _check_setup(u, A)
-    require_elliptic(A)
     du = norms.field_symbol(u, 1j * u.time_grid.frequencies + complex(theta))
     Ku = fem.stiffness_apply(u.mesh, A.scalar_cells(), u.values)
     stiff = fem.mass_solve(u.mesh, Ku)
@@ -127,7 +120,6 @@ def solve_line(
     Matrix-free GMRES with the time-averaged constant-coefficient solve as a
     mode-diagonal preconditioner.  Fails loudly on non-convergence."""
     _check_setup(f, A)
-    require_elliptic(A)
     theta = complex(theta)
     if theta.real <= 0:
         raise SolverError("need Re theta > 0")
@@ -204,7 +196,6 @@ def cauchy_solve(
     f: SpaceTimeField,
     window_factor: int = 4,
     tol: float = 1e-9,
-    check_regularity: bool = False,
 ) -> CauchyResult:
     """Cauchy problem u' + A(t)u = f on [0, T), u(0) = 0, by reduction to the
     line: extend the coefficient, weight the zero-extended data by e^{-t},
@@ -218,8 +209,6 @@ def cauchy_solve(
         raise GridError("data and coefficient live on different grids")
     if window_factor < 4:
         raise SolverError("window must cover [-T, 3T] at least; refusing smaller")
-    if check_regularity:
-        _warn_if_irregular(A)
     n = A.n_t
     T = A.T
     A_full = extend_full(A, window_factor)
@@ -247,25 +236,6 @@ def cauchy_solve(
     u = SpaceTimeField(A.time_grid, mesh, u_vals)
     v0 = float(np.sqrt(max(fem.h_inner(mesh, v.values[n], v.values[n]).real, 0.0)))
     return CauchyResult(u=u, line_solution=v, v0_norm=v0, diagnostics=diag)
-
-
-def _warn_if_irregular(A: CoefficientField):
-    """Two-resolution growth probe of the scale-invariant half-Sobolev
-    condition; emits a warning (never an error) when it looks divergent."""
-    from .bmo import dyadic_family, scale_invariant_half_sobolev
-
-    col = A.column(0)
-    coarse = col.resampled(max(64, A.n_t // 4))
-    mid = col.resampled(max(128, A.n_t // 2))
-    vals = [
-        scale_invariant_half_sobolev(sig, dyadic_family(sig.grid)).value
-        for sig in (coarse, mid, col)
-    ]
-    if vals[0] > 0 and vals[1] >= 1.25 * vals[0] and vals[2] >= 1.25 * vals[1]:
-        warnings.warn(
-            "coefficient looks irregular: scale-invariant half-Sobolev value "
-            f"grows {vals}; the solver still runs but the regularity theory "
-            "does not apply", RuntimeWarning)
 
 
 def timestep_reference(

@@ -104,6 +104,14 @@ class TestValidation:
         assert ran == []
         assert not (tmp_path / "autonomous-dirichlet.sweep.json").exists()
 
+    def test_unknown_seminorm_rejected(self, tmp_path, capsys):
+        # a misspelt functional must not be dropped from the report silently
+        code = run_cli("analyze", "sqrt-product",
+                       "--set", 'analysis.seminorms=["half-sobolev"]', outdir=tmp_path)
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert all(name in err for name in ("bmo", "half_sobolev", "holder", "dini"))
+
     def test_bad_coefficient_kind(self, tmp_path):
         code = run_cli("solve", "autonomous-dirichlet",
                        "--set", 'coefficient.kind="fractal"',

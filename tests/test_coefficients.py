@@ -1,7 +1,11 @@
 """Coefficient families, ellipticity certification, the extension
 algorithm with its proven constants, and mollification."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxreg.bmo import bmo_seminorm, dyadic_family, scale_invariant_half_sobolev
 from maxreg.coefficients import (
@@ -16,7 +20,6 @@ from maxreg.coefficients import (
     generate_family,
     load_field,
     mollify,
-    require_elliptic,
     save_field,
 )
 from maxreg.fem import SpaceMesh
@@ -50,7 +53,34 @@ class TestCertification:
     def test_non_elliptic_rejected(self):
         vals = np.full((GRID.n_points, MESH.n_cells, 1, 1), -1.0 + 0j)
         with pytest.raises(NotElliptic):
-            require_elliptic(vals)
+            CoefficientField(GRID, MESH, vals, T=1.0)
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(["real", "imaginary", "complex", "mixed"]))
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_closed_form_is_bitwise_eigvalsh_svd(self, seed, kind):
+        # Signed samples; "mixed" spreads each part over 1e-100..1e100.  LAPACK
+        # rescales a sample of modulus outside about 1e-130..1e130 before its
+        # SVD, so bitwise agreement is pinned inside that range.
+        rng = np.random.default_rng(seed)
+        re, im = rng.standard_normal((2, 64))
+        if kind == "real":
+            im[:] = 0.0
+        elif kind == "imaginary":
+            re[:] = 0.0
+        elif kind == "mixed":
+            re *= 10.0 ** rng.uniform(-100, 100, 64)
+            im *= 10.0 ** rng.uniform(-100, 100, 64)
+        a = re + 1j * im
+        for mats in [a.reshape(-1, 1, 1), *a.reshape(-1, 1, 1, 1)]:  # stack, each sample
+            lam = np.linalg.eigvalsh(0.5 * (mats + mats.conj()))[:, 0].min()
+            Lam = np.linalg.svd(mats, compute_uv=False)[:, 0].max()
+            assert certify_ellipticity(mats) == (lam, Lam)
+
+    def test_certificate_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            CoefficientField(GRID, MESH, np.ones((GRID.n_points, MESH.n_cells)),
+                             lam=5.0, Lam=6.0, T=1.0)
 
     def test_quadratic_form_bounds_on_probe_directions(self):
         rng = np.random.default_rng(0)
@@ -89,8 +119,7 @@ class TestExtendReflect:
         # A(t) = t on [0,1] -> |t| on [-1,1] and 2-t on [1,2]
         vals = (GRID.points[:, None, None, None]
                 * np.ones((1, MESH.n_cells, 1, 1))).astype(complex) + 1.0
-        A = CoefficientField(GRID, MESH, vals, lam=1.0, Lam=2.0, T=1.0,
-                             kind="linear", seed=0)
+        A = CoefficientField(GRID, MESH, vals, T=1.0, kind="linear", seed=0)
         flat = extend_reflect(A)
         t = flat.time_grid.points
         expected = np.where(t < 0, -t, np.where(t <= 1.0, t, 2.0 - t)) + 1.0
@@ -185,6 +214,14 @@ class TestMollify:
         assert lam >= A.lam - 1e-12
         assert Lam <= A.Lam + 1e-12
 
+    def test_reports_certificate_of_its_own_samples(self):
+        A = generate_family("holder", GRID, MESH, seed=4, alpha=0.35)
+        Am = mollify(A, 8)
+        assert (Am.lam, Am.Lam) == certify_ellipticity(Am.values)
+        assert Am.lam > A.lam + 0.05  # smoothing lifts the rough field's minimum
+        outside = extend_full(Am).values[0, 0, 0, 0]  # t = -T: cutoff is 0
+        assert outside == Am.lam
+
     def test_bmo_contraction_of_half_derivative(self):
         A = generate_family("holder", GRID, MESH, seed=4, alpha=0.35)
         Am = mollify(A, 8)
@@ -275,3 +312,15 @@ class TestSerialization:
         assert np.array_equal(A.values, B.values)
         assert B.time_grid.compatible(A.time_grid)
         assert (B.lam, B.Lam, B.T, B.kind, B.seed) == (A.lam, A.Lam, A.T, A.kind, A.seed)
+
+    def test_header_certificate_is_not_read_back(self, tmp_path):
+        A = generate_family("sqrt_product", GRID, MESH, amp=0.4, seed=3)
+        prefix = str(tmp_path / "field")
+        jpath, _ = save_field(A, prefix)
+        with open(jpath) as fh:
+            header = json.load(fh)
+        header["lambda"], header["Lambda"] = 5.0, 0.1
+        with open(jpath, "w") as fh:
+            json.dump(header, fh)
+        B = load_field(prefix)
+        assert (B.lam, B.Lam) == (A.lam, A.Lam)

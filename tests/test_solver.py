@@ -215,8 +215,8 @@ class TestTimestepReference:
             a_cells[None, :, None, None], (grid.n_points, MESH.n_cells, 1, 1))
         from maxreg.coefficients import CoefficientField
 
-        A = CoefficientField(grid, MESH, vals.astype(complex), lam=1.0,
-                             Lam=1.5, T=1.0, kind="autonomous_x", seed=0)
+        A = CoefficientField(grid, MESH, vals.astype(complex), T=1.0,
+                             kind="autonomous_x", seed=0)
         f = sine_forcing(grid)
         cn = timestep_reference(A, f)
         orc = autonomous_oracle(a_cells, f)
