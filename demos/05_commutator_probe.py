@@ -6,9 +6,9 @@ The key harmonic-analysis input behind the solver is that the commutator
 [a, D^{1/2}] u = a D^{1/2}u - D^{1/2}(a u) is bounded on L^2 whenever
 D^{1/2}a has bounded mean oscillation -- and that mere 1/2-Holder
 continuity of a is not enough.  Both directions are observable
-numerically with randomized power-iteration probes of the operator norm:
+numerically with the operator norm, converged by Lanczos iteration:
 
-  * for a(t) = |t - t0|^{1/2} the estimates settle under refinement;
+  * for a(t) = |t - t0|^{1/2} the norms settle under refinement;
   * for a rough Holder sample below exponent 1/2 they keep growing.
 
 Finally, the factorization identity that the solver's analysis rests on
@@ -24,7 +24,7 @@ from maxreg.norms import SpaceTimeField
 
 mesh = SpaceMesh(0.0, 1.0, 8)
 
-print("operator-norm probes under grid refinement (alpha = 1/2)")
+print("operator norms under grid refinement (alpha = 1/2)")
 print("-" * 60)
 for label, kind, kw in (("|t - t0|^{1/2}", "sqrt_product", {}),
                         ("0.45-Holder sample", "holder", {"alpha": 0.45})):
@@ -32,7 +32,7 @@ for label, kind, kw in (("|t - t0|^{1/2}", "sqrt_product", {}),
     for n in (256, 512, 1024, 2048):
         grid = TimeGrid(-1.0, 1.0, n)
         a = generate_family(kind, grid, mesh, seed=7, **kw).column(0)
-        probe = commutator_norm_estimate(a, 0.5, n_probes=32, seed=0)
+        probe = commutator_norm_estimate(a, 0.5)
         estimates.append(probe.estimate)
     growth = [b / a for a, b in zip(estimates, estimates[1:])]
     print(f"  {label:20s} estimates "

@@ -398,8 +398,7 @@ def run_commutator(cfg: dict) -> RegularityReport:
     diagnostics["resolutions"] = [s.n for s in rungs]
     rows: list[SeminormRow] = []
     for alpha in cfg["analysis"]["alphas"]:
-        probes = [commutator_norm_estimate(s, alpha, seed=cfg["coefficient"]["seed"])
-                  for s in rungs]
+        probes = [commutator_norm_estimate(s, alpha) for s in rungs]
         estimates = [p.estimate for p in probes]
         probe = probes[-1]
         rows.append(SeminormRow(

@@ -1,19 +1,20 @@
 """Commutators [a, D^alpha] of a multiplier with a fractional derivative:
-application, randomized operator-norm probes, and the exact factorization
-of the half derivative of a line solution through the coefficient
-commutator.
+application, the converged operator norm (largest singular value by
+Lanczos iteration), and the exact factorization of the half derivative of
+a line solution through the coefficient commutator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
 from . import fem, norms
 from .bmo import bmo_seminorm, dyadic_family
 from .coefficients import CoefficientField
 from .norms import SpaceTimeField
-from .solver import solve_line
+from .solver import SolverError, solve_line
 from .timefourier import (FracOrder, GridError, TimeSignal, fourier_multiplier,
                           frac_derivative, frac_symbol, time_norm)
 
@@ -21,8 +22,6 @@ from .timefourier import (FracOrder, GridError, TimeSignal, fourier_multiplier,
 @dataclass
 class CommutatorProbe:
     alpha: float
-    n_probes: int
-    seed: int
     estimate: float
     bmo_value: float | None = None
     ratio: float | None = None
@@ -30,8 +29,6 @@ class CommutatorProbe:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_probes < 16:
-            raise ValueError("need at least 16 probes")
         if self.estimate < 0:
             raise ValueError("operator norm estimate must be >= 0")
 
@@ -55,67 +52,51 @@ def commutator_apply(a: TimeSignal, alpha: FracOrder | float, u: TimeSignal) -> 
     return TimeSignal(u.grid, commutator_kernel(a.values, symbol, u.values))
 
 
-def commutator_norm_estimate(
-    a: TimeSignal,
-    alpha: FracOrder | float,
-    n_probes: int = 32,
-    seed: int = 0,
-    n_power_steps: int = 60,
-) -> CommutatorProbe:
-    """Randomized lower bound for ||[a, D^alpha]|| on L2 of the window.
+def commutator_norm_estimate(a: TimeSignal, alpha: FracOrder | float) -> CommutatorProbe:
+    """||[a, D^alpha]|| on L2 of the window: the largest singular value,
+    converged by implicitly restarted Lanczos on C*C (ARPACK, through
+    scipy's svds) from a fixed start vector, so every run gives the same
+    value.
 
-    Power iteration on C*C with random restarts; only a lower bound is
-    certified by probing (reported with a +-20% disclaimer).  The ratio
-    against ||D^{1/2} a||_BMO is recorded when the multiplier is not constant.
+    The ratio against ||D^alpha a||_BMO is recorded when the multiplier is
+    not constant.  Raises SolverError when ARPACK does not converge.
     """
     alpha_v = alpha.alpha if isinstance(alpha, FracOrder) else float(alpha)
     if a.values.ndim != 1:
         raise ValueError("commutator probe needs a scalar multiplier signal")
     n = a.n
-    rng = np.random.default_rng(seed)
-    symbol = frac_symbol(a.grid.frequencies, alpha_v)
-    a_conj = np.conj(a.values)
-
-    best = 0.0
     osc = a.values - a.values.mean()
     degenerate = bool(np.max(np.abs(osc)) < 1e-14 * max(1.0, np.max(np.abs(a.values))))
-    if not degenerate:
-        for _ in range(max(1, n_probes)):
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            lam = 0.0
-            for _ in range(n_power_steps):
-                # C* = -[conj(a), D^alpha] since D^alpha is self-adjoint
-                w = -commutator_kernel(a_conj, symbol, commutator_kernel(a.values, symbol, v))
-                nw = np.linalg.norm(w)
-                if nw == 0.0:
-                    break
-                lam = nw
-                v = w / nw
-            best = max(best, np.sqrt(lam))
+    estimate = 0.0
     bmo_val = None
     ratio = None
     if not degenerate:
+        symbol = frac_symbol(a.grid.frequencies, alpha_v)
+        a_conj = np.conj(a.values)
+        op = LinearOperator(
+            (n, n), dtype=complex,
+            matvec=lambda v: commutator_kernel(a.values, symbol, v.ravel()),
+            # C* = -[conj(a), D^alpha] since D^alpha is self-adjoint
+            rmatvec=lambda v: -commutator_kernel(a_conj, symbol, v.ravel()),
+        )
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        try:
+            estimate = float(svds(op, k=1, tol=1e-12, v0=v0,
+                                  return_singular_vectors=False)[0])
+        except ArpackNoConvergence as exc:
+            raise SolverError(f"commutator norm at n = {n} did not converge: {exc}") from exc
         da = frac_derivative(TimeSignal(a.grid, a.values), alpha_v)
         bmo_val = bmo_seminorm(da, dyadic_family(a.grid)).value
-        ratio = best / bmo_val if bmo_val > 0 else None
+        ratio = estimate / bmo_val if bmo_val > 0 else None
     return CommutatorProbe(
         alpha=alpha_v,
-        n_probes=n_probes,
-        seed=seed,
-        estimate=float(best),
+        estimate=estimate,
         bmo_value=bmo_val,
         ratio=ratio,
         degenerate=degenerate,
         extra={"resolution": n},
     )
-
-
-def coordinatewise_commutator(
-    A: CoefficientField, alpha: float, w: np.ndarray
-) -> np.ndarray:
-    """[A(., x), D^alpha] applied column-wise over x to cell data w (nt, nx)."""
-    return commutator_kernel(A.scalar_cells(), frac_symbol(A.time_grid.frequencies, alpha), w)
 
 
 def factorization_check(
@@ -139,7 +120,8 @@ def factorization_check(
     u, _ = solve_line(A, f, theta=theta, tol=tol)
     du = norms.d_alpha(u, 0.5)
     grad_u = fem.gradient(mesh, u.values)              # (nt, n_cells)
-    comm = coordinatewise_commutator(A, 0.5, grad_u)   # [A, D^{1/2}] grad u
+    comm = commutator_kernel(A.scalar_cells(),         # [A, D^{1/2}] grad u
+                             frac_symbol(A.time_grid.frequencies, 0.5), grad_u)
     rhs_comm = fem.mass_solve(mesh, fem.gradient_adjoint(mesh, comm))
     comm_field = SpaceTimeField(u.time_grid, mesh, rhs_comm)
     t1, _ = solve_line(A, comm_field, theta=theta, tol=tol)

@@ -278,8 +278,7 @@ def test_criterion_10_commutator_sharpness():
         for n in (256, 512, 1024, 2048):
             grid = TimeGrid(-1.0, 1.0, n)
             a = generate_family(kind, grid, MESH8, seed=7, **kw).column(0)
-            out.append(commutator_norm_estimate(a, 0.5, n_probes=32,
-                                                seed=0).estimate)
+            out.append(commutator_norm_estimate(a, 0.5).estimate)
         return out
 
     smooth = ladder("sqrt_product")

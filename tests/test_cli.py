@@ -3,9 +3,12 @@ codes, determinism, and sweeps with per-point failure isolation."""
 import json
 import threading
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import maxreg.cli as cli
+import maxreg.commutators as commutators
 from maxreg.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -131,6 +134,17 @@ class TestSolverFailure:
         assert isinstance(record, dict)
         assert record["residual"] > 1e-20
         assert record["iterations"] > 0
+
+    def test_commutator_nonconvergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                      np.empty((0, 0)))
+        monkeypatch.setattr(commutators, "svds", no_convergence)
+        code = run_cli("commutator", "sqrt-product", outdir=tmp_path)
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err.strip().splitlines()
+        assert "did not converge" in err[0]
+        assert isinstance(json.loads(err[-1]), dict)
 
 
 class TestSolveBehavior:

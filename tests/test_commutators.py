@@ -1,5 +1,5 @@
 """Commutators of a time multiplier with the fractional derivative:
-pointwise application, randomized operator-norm probes, the vector lift
+pointwise application, the converged operator norm, the vector lift
 over space columns, and the factorization identity for line solutions."""
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from scipy.stats import spearmanr
 from maxreg.bmo import refinement_verdict
 from maxreg.coefficients import generate_family, mollify
 from maxreg.commutators import (
-    CommutatorProbe,
     commutator_apply,
     commutator_kernel,
     commutator_norm_estimate,
-    coordinatewise_commutator,
     factorization_check,
 )
 from maxreg.fem import SpaceMesh
@@ -104,28 +102,33 @@ class TestCommutatorApply:
 class TestNormEstimate:
     def test_constant_multiplier_degenerate(self):
         a = TimeSignal(GRID, np.full(GRID.n_points, 4.0 + 0.0j))
-        probe = commutator_norm_estimate(a, 0.5, n_probes=16, seed=0)
+        probe = commutator_norm_estimate(a, 0.5)
         assert probe.degenerate
         assert probe.estimate == 0.0
         assert probe.ratio is None
 
-    def test_probe_count_floor(self):
-        with pytest.raises(ValueError):
-            CommutatorProbe(alpha=0.5, n_probes=4, seed=0, estimate=1.0)
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("kind, kw", [
+        ("sqrt_product", {}), ("holder", {"alpha": 0.45}), ("holder", {"alpha": 0.05}),
+        ("lipschitz", {}), ("step", {})])
+    def test_estimate_is_dense_two_norm(self, kind, kw, n):
+        a = multiplier(kind=kind, n=n, **kw)
+        C = commutator_kernel(a.values[:, None], frac_symbol(a.grid.frequencies, 0.5),
+                              np.eye(n))
+        probe = commutator_norm_estimate(a, 0.5)
+        assert probe.estimate == pytest.approx(np.linalg.norm(C, 2), rel=1e-12)
 
     def test_homogeneity_exact(self):
         a = multiplier()
-        base = commutator_norm_estimate(a, 0.5, n_probes=16, seed=5)
-        scaled = commutator_norm_estimate(
-            TimeSignal(a.grid, -3.0 * a.values), 0.5, n_probes=16, seed=5)
+        base = commutator_norm_estimate(a, 0.5)
+        scaled = commutator_norm_estimate(TimeSignal(a.grid, -3.0 * a.values), 0.5)
         assert scaled.estimate == pytest.approx(3.0 * base.estimate, rel=1e-9)
 
     def test_sqrt_multiplier_stable_under_refinement(self):
         # |t - t0|^{1/2} keeps D^{1/2}a in BMO; the norm probe settles.
         # Frozen run: 0.29525, 0.29363, 0.29224 at n = 256, 512, 1024.
         vals = [
-            commutator_norm_estimate(multiplier(n=n), 0.5, n_probes=32,
-                                     seed=0).estimate
+            commutator_norm_estimate(multiplier(n=n), 0.5).estimate
             for n in (256, 512, 1024)
         ]
         assert vals[0] == pytest.approx(0.295250, rel=1e-3)
@@ -137,8 +140,7 @@ class TestNormEstimate:
         # than 25% per dyadic refinement once the scales resolve it.
         vals = [
             commutator_norm_estimate(
-                multiplier(kind="holder", alpha=0.05, n=n), 0.5,
-                n_probes=16, seed=0).estimate
+                multiplier(kind="holder", alpha=0.05, n=n), 0.5).estimate
             for n in (2048, 4096, 8192)
         ]
         verdict = refinement_verdict(vals)
@@ -146,7 +148,7 @@ class TestNormEstimate:
         assert all(g >= 1.25 for g in verdict.growth_factors)
 
     def test_ratio_against_bmo_recorded(self):
-        probe = commutator_norm_estimate(multiplier(), 0.5, n_probes=16, seed=0)
+        probe = commutator_norm_estimate(multiplier(), 0.5)
         assert probe.bmo_value is not None and probe.bmo_value > 0
         assert probe.ratio == pytest.approx(probe.estimate / probe.bmo_value)
 
@@ -161,8 +163,7 @@ class TestNormEstimate:
                 A = generate_family(kind, grid, MESH8, seed=7, amp=amp, **kw)
                 if kind == "step":
                     A = mollify(A, 8)
-                p = commutator_norm_estimate(A.column(0), 0.5, n_probes=16,
-                                             seed=0)
+                p = commutator_norm_estimate(A.column(0), 0.5)
                 ests.append(p.estimate)
                 bmos.append(p.bmo_value)
         assert spearmanr(ests, bmos).statistic >= 0.9
@@ -172,12 +173,11 @@ class TestVectorLift:
     def test_columnwise_aggregate_bounded_by_worst_column(self):
         grid = TimeGrid(-1.0, 1.0, 512)
         A = generate_family("sqrt_product", grid, MESH8, seed=7)
-        est = commutator_norm_estimate(A.column(0), 0.5, n_probes=32,
-                                       seed=0).estimate
+        est = commutator_norm_estimate(A.column(0), 0.5).estimate
         rng = np.random.default_rng(3)
         shape = (grid.n_points, MESH8.n_cells)
         w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        cw = coordinatewise_commutator(A, 0.5, w)
+        cw = commutator_kernel(A.scalar_cells(), frac_symbol(grid.frequencies, 0.5), w)
         assert np.linalg.norm(cw) <= est * np.linalg.norm(w)
 
 
