@@ -36,7 +36,6 @@ class IntervalFamily:
 
     grid: TimeGrid
     intervals: tuple[tuple[int, int], ...]
-    style: str = "dyadic"
 
     def __post_init__(self):
         if len(self.intervals) == 0:
@@ -77,20 +76,7 @@ def dyadic_family(grid: TimeGrid, shifted: bool = True, min_len: int = 2) -> Int
             for a in range(size // 2, n - size + 1, size):
                 intervals.append((a, a + size))
         size //= 2
-    return IntervalFamily(grid, tuple(intervals), "dyadic")
-
-
-def sliding_family(grid: TimeGrid, lengths: list[int] | None = None) -> IntervalFamily:
-    """All offsets of a set of interval lengths (defaults to dyadic lengths)."""
-    n = grid.n_points
-    if lengths is None:
-        lengths = []
-        size = 2
-        while size <= n:
-            lengths.append(size)
-            size *= 2
-    intervals = [(a, a + m) for m in lengths for a in range(0, n - m + 1)]
-    return IntervalFamily(grid, tuple(intervals), "sliding")
+    return IntervalFamily(grid, tuple(intervals))
 
 
 @dataclass
@@ -98,9 +84,7 @@ class SeminormValue:
     """A measured seminorm plus provenance."""
 
     value: float
-    family_size: int = 1
     achieving_interval: tuple[float, float] | None = None
-    resolution: int | None = None
     extra: dict = field(default_factory=dict)
 
     def __float__(self) -> float:
@@ -186,15 +170,13 @@ def _lag_blocks(g: np.ndarray, t: np.ndarray, exponent: float, max_lag: int | No
         octave *= 2
 
 
-def _family_sup(values: np.ndarray, fam: IntervalFamily, resolution: int) -> SeminormValue:
+def _family_sup(values: np.ndarray, fam: IntervalFamily) -> SeminormValue:
     """The largest positive value over the family; the first in family order wins."""
     k = int(np.argmax(values))
     best = float(values[k])
     return SeminormValue(
         best if best > 0 else 0.0,
-        family_size=len(fam),
         achieving_interval=fam.seconds(fam.intervals[k]) if best > 0 else None,
-        resolution=resolution,
     )
 
 
@@ -220,7 +202,7 @@ def bmo_seminorm(f: TimeSignal, fam: IntervalFamily) -> SeminormValue:
             seg = windows[:, starts[part]]                   # (entries, intervals, ell)
             dev = np.abs(seg - seg.mean(axis=2, keepdims=True)).mean(axis=2)
             osc[part] = dev.max(axis=0)
-    return _family_sup(osc, fam, f.n)
+    return _family_sup(osc, fam)
 
 
 # Relative distance below which two half-Sobolev values count as tied: far
@@ -272,7 +254,7 @@ def scale_invariant_half_sobolev(f: TimeSignal, fam: IntervalFamily) -> Seminorm
         s, e = starts[tied], ends[tied]
         vals = np.zeros(len(fam))
         vals[tied] = _prefix_box_sums(g, t, s, e) * dt * dt / ((e - s) * dt)
-    return _family_sup(vals, fam, f.n)
+    return _family_sup(vals, fam)
 
 
 def _prefix_box_sums(g: np.ndarray, t: np.ndarray, starts: np.ndarray,
@@ -335,7 +317,7 @@ def frac_sobolev_seminorm(
     val = 2.0 * total * dt * dt
     w0 = f.grid.t_start + i0 * dt
     w1 = f.grid.t_start + i1 * dt
-    return SeminormValue(val, family_size=1, achieving_interval=(w0, w1), resolution=f.n)
+    return SeminormValue(val, achieving_interval=(w0, w1))
 
 
 def holder_constant(f: TimeSignal, a: FracOrder | float) -> SeminormValue:
@@ -358,8 +340,7 @@ def holder_constant(f: TimeSignal, a: FracOrder | float) -> SeminormValue:
         if top > best or pair < (i, j):
             best, (i, j) = top, pair
     iv = (min(t[i], t[j]), max(t[i], t[j]))
-    return SeminormValue(float(np.sqrt(best)), family_size=1,
-                         achieving_interval=iv, resolution=f.n)
+    return SeminormValue(float(np.sqrt(best)), achieving_interval=iv)
 
 
 def dini_integral(
@@ -393,10 +374,8 @@ def dini_integral(
     best = int(np.argmax(terms)) if m_max else 0
     return SeminormValue(
         value,
-        family_size=m_max,
         achieving_interval=(0.0, float((best + 1) * dt)),
-        resolution=n,
-        extra={"octave_increments": incs, "q": q},
+        extra={"octave_increments": incs},
     )
 
 
@@ -408,7 +387,6 @@ def dini_integral(
 class DivergenceVerdict:
     divergent: bool
     growth_factors: list[float]
-    rule: str
 
 
 def refinement_verdict(values: list[float], threshold: float = 1.25) -> DivergenceVerdict:
@@ -418,7 +396,7 @@ def refinement_verdict(values: list[float], threshold: float = 1.25) -> Divergen
         raise ValueError("need values at >= 3 consecutive dyadic resolutions")
     vals = [float(v) for v in values]
     factors = [b / a if a > 0 else np.inf for a, b in zip(vals, vals[1:])]
-    return DivergenceVerdict(all(f >= threshold for f in factors), factors, f"ratio>={threshold}")
+    return DivergenceVerdict(all(f >= threshold for f in factors), factors)
 
 
 def increment_slope_verdict(
@@ -438,14 +416,14 @@ def increment_slope_verdict(
     inc = np.asarray([max(v, 0.0) for v in increments], dtype=float)
     skip = 2
     if len(inc) < min_octaves + skip or not np.all(inc[: min_octaves + skip] > 0):
-        return DivergenceVerdict(False, [], "increment-slope (insufficient octaves)")
+        return DivergenceVerdict(False, [])
     k = max(min_octaves + skip, (len(inc) * 2) // 3)  # finest two thirds; coarse lags saturate
     head = inc[skip:k]
     head = head[head > 0]
     x = np.arange(len(head), dtype=float)
     y = np.log2(head)
     slope = float(np.polyfit(x, y, 1)[0])
-    return DivergenceVerdict(slope <= slope_threshold, [slope], f"increment-slope<={slope_threshold}")
+    return DivergenceVerdict(slope <= slope_threshold, [slope])
 
 
 def dini_verdict(sem: SeminormValue) -> DivergenceVerdict:

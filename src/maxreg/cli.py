@@ -24,7 +24,6 @@ import sys
 import numpy as np
 
 from .bmo import (
-    DivergenceVerdict,
     bmo_seminorm,
     dini_integral,
     dini_verdict,
@@ -153,6 +152,10 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
     if cfg["output"]["format"] not in ("json", "csv"):
         raise ConfigError(f"output.format must be 'json' or 'csv', got "
                           f"{cfg['output']['format']!r}")
+    wf = cfg["time"]["window_factor"]
+    if not isinstance(wf, int) or isinstance(wf, bool) or wf < 4 or wf & (wf - 1):
+        raise ConfigError(f"time.window_factor must be an integer power of two >= 4, "
+                          f"got {wf!r}")
     seminorms = cfg["analysis"]["seminorms"]
     if not isinstance(seminorms, list) or any(s not in SEMINORMS for s in seminorms):
         raise ConfigError(f"analysis.seminorms must name only {', '.join(SEMINORMS)}; "
@@ -415,8 +418,7 @@ def run_commutator(cfg: dict) -> RegularityReport:
         }
     return RegularityReport(
         experiment_id=cfg["experiment_id"],
-        coefficient={"kind": cfg["coefficient"]["kind"],
-                     "seed": cfg["coefficient"]["seed"]},
+        coefficient={"kind": A.kind, "seed": A.seed},
         resolutions={"n_t": rungs[-1].n, "n_x": mesh.n_cells},
         seminorms=rows, diagnostics=diagnostics,
     )
@@ -516,8 +518,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except SolverError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
-        diagnostics = dataclasses.asdict(exc.diagnostics) if exc.diagnostics is not None else {}
-        print(json.dumps(diagnostics, default=str), file=sys.stderr)
+        record = {"error": str(exc)}
+        if exc.diagnostics is not None:
+            record.update(dataclasses.asdict(exc.diagnostics))
+        print(json.dumps(record, default=str), file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, CoefficientError, MeshError, GridError, SignalError,
             ValueError) as exc:

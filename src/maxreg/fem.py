@@ -9,6 +9,7 @@ time for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -31,6 +32,8 @@ class SpaceMesh:
     bc_right: str = DIRICHLET
 
     def __post_init__(self):
+        if not isinstance(self.n_cells, Integral) or isinstance(self.n_cells, bool):
+            raise MeshError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 4:
             raise MeshError(f"need n_cells >= 4, got {self.n_cells}")
         if not self.x_hi > self.x_lo:
@@ -63,10 +66,6 @@ class SpaceMesh:
     @property
     def n_dofs(self) -> int:
         return int(self.free_mask.sum())
-
-    def refined(self, factor: int = 2) -> "SpaceMesh":
-        return SpaceMesh(self.x_lo, self.x_hi, self.n_cells * factor,
-                         self.bc_left, self.bc_right)
 
 
 def embed(mesh: SpaceMesh, u: np.ndarray) -> np.ndarray:
@@ -151,19 +150,11 @@ def stiffness_banded(mesh: SpaceMesh, a_cells: np.ndarray) -> np.ndarray:
     return _free_band(mesh, diag, -a / h)
 
 
-def shifted_bands(mesh: SpaceMesh, z: np.ndarray, a_cells: np.ndarray):
-    """Bands (sub, diag, sup), each (len(z), ndof), of z_k M + K(a) for a
-    batch of shifts z, laid out for `batched_tridiag_solve`."""
-    mband = mass_banded(mesh)
-    kband = stiffness_banded(mesh, a_cells)
+def shifted_bands(mesh: SpaceMesh, z: np.ndarray, a_cells: np.ndarray) -> np.ndarray:
+    """Lower bands (2, len(z), ndof) of z_k M + K(a) for a batch of shifts z,
+    laid out for `batched_tridiag_solve`."""
     z = np.asarray(z)[:, None]
-    diag = z * mband[0] + kband[0]
-    off = z * mband[1] + kband[1]
-    sub = np.zeros_like(diag)
-    sup = np.zeros_like(diag)
-    sub[:, 1:] = off[:, :-1]
-    sup[:, :-1] = off[:, :-1]
-    return sub, diag, sup
+    return z * mass_banded(mesh)[:, None] + stiffness_banded(mesh, a_cells)[:, None]
 
 
 def mass_apply(mesh: SpaceMesh, u: np.ndarray) -> np.ndarray:
@@ -214,23 +205,24 @@ def laplace_eigenpairs(mesh: SpaceMesh, a_cells: np.ndarray | None = None):
     return mu, Phi
 
 
-def batched_tridiag_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                          rhs: np.ndarray) -> np.ndarray:
-    """Solve a batch of tridiagonal systems by the Thomas algorithm.
+def batched_tridiag_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a batch of symmetric tridiagonal systems by the Thomas algorithm.
 
-    sub, diag, sup, rhs: (..., n) with sub[..., 0] and sup[..., -1] ignored.
-    No pivoting; intended for shifted mass+stiffness matrices whose real part
-    is positive definite.
+    band: lower bands (2, ..., n), the layout of `mass_banded` and
+    `shifted_bands` (band[1, ..., -1] ignored); rhs: (..., n).  No pivoting;
+    intended for shifted mass+stiffness matrices whose real part is positive
+    definite.
     """
+    diag, off = band[0], band[1]
     n = diag.shape[-1]
     c = np.empty_like(diag)
     d = np.empty_like(rhs)
-    c[..., 0] = sup[..., 0] / diag[..., 0]
+    c[..., 0] = off[..., 0] / diag[..., 0]
     d[..., 0] = rhs[..., 0] / diag[..., 0]
     for k in range(1, n):
-        denom = diag[..., k] - sub[..., k] * c[..., k - 1]
-        c[..., k] = sup[..., k] / denom if k < n - 1 else 0.0
-        d[..., k] = (rhs[..., k] - sub[..., k] * d[..., k - 1]) / denom
+        denom = diag[..., k] - off[..., k - 1] * c[..., k - 1]
+        c[..., k] = off[..., k] / denom if k < n - 1 else 0.0
+        d[..., k] = (rhs[..., k] - off[..., k - 1] * d[..., k - 1]) / denom
     x = np.empty_like(rhs)
     x[..., -1] = d[..., -1]
     for k in range(n - 2, -1, -1):

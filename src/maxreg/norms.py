@@ -31,9 +31,6 @@ class SpaceTimeField:
         if self.values.shape != expect:
             raise GridError(f"field values shape {self.values.shape} != {expect}")
 
-    def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.time_grid, self.mesh, self.values.copy())
-
     def compatible(self, other: "SpaceTimeField") -> bool:
         return self.time_grid.compatible(other.time_grid) and self.mesh == other.mesh
 
@@ -132,35 +129,8 @@ def dual_norm_estar(f: SpaceTimeField, theta_weight: float = 1.0) -> float:
     tau = np.abs(f.time_grid.frequencies)
     fhat = np.fft.fft(f.values, axis=0) / n
     rhs = fem.mass_apply(mesh, fhat)
-    sub, diag, sup = fem.shifted_bands(mesh, theta_weight + tau, np.ones(mesh.n_cells))
-    z = fem.batched_tridiag_solve(sub, diag.astype(complex), sup, rhs.astype(complex))
+    band = fem.shifted_bands(mesh, theta_weight + tau, np.ones(mesh.n_cells))
+    z = fem.batched_tridiag_solve(band.astype(complex), rhs)
     val = float(np.sum(np.conj(rhs) * z).real * f.time_grid.period)
     return float(np.sqrt(max(val, 0.0)))
 
-
-def operator_norm_equivalence_probe(A, t: float, s: float) -> tuple[float, float]:
-    """(dual_norm, esssup) for the coefficient difference A(t) - A(s).
-
-    dual_norm is ||grad^* (A(t)-A(s)) grad||_{V -> V*} computed densely via the
-    V-Riesz map; esssup is the max over x samples of the matrix norm.
-    """
-    import scipy.linalg
-
-    mesh = A.mesh
-    it = A.time_grid.index_of(t)
-    isx = A.time_grid.index_of(s)
-    diff = A.values[it] - A.values[isx]  # (nx, d, d)
-    ess = float(np.linalg.svd(diff, compute_uv=False)[:, 0].max())
-    if A.dim != 1:
-        raise ValueError("dual-norm probe implemented for scalar coefficients")
-    dcells = diff[:, 0, 0]
-    B = fem.tridiag_dense(fem.stiffness_banded(mesh, dcells.real)) + 1j * fem.tridiag_dense(
-        fem.stiffness_banded(mesh, dcells.imag)
-    )
-    R = fem.tridiag_dense(fem.mass_banded(mesh)) + fem.tridiag_dense(
-        fem.stiffness_banded(mesh, np.ones(mesh.n_cells))
-    )
-    w, Q = scipy.linalg.eigh(R)
-    R_half_inv = Q @ np.diag(w**-0.5) @ Q.T
-    dual = float(np.linalg.svd(R_half_inv @ B @ R_half_inv, compute_uv=False)[0])
-    return dual, ess

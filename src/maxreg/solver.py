@@ -11,10 +11,9 @@ time-averaged coefficient.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import fem, norms
@@ -54,7 +53,6 @@ class SolveDiagnostics:
     dual_norm_rhs: float = 0.0
     energy_bound: float = 0.0
     guard_mass_fraction: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 def choose_delta(lam: float, Lam: float, theta: complex) -> float:
@@ -130,7 +128,7 @@ def solve_line(
     a_cells = A.scalar_cells()
     z = 1j * grid.frequencies + theta
     # mode-diagonal preconditioner: (i*tau + theta) M + K(mean A) per mode
-    sub, diag, sup = fem.shifted_bands(mesh, z, a_cells.mean(axis=0).real)
+    band = fem.shifted_bands(mesh, z, a_cells.mean(axis=0).real)
 
     def L_mv(x):
         u = x.reshape(nt, nd)
@@ -141,7 +139,7 @@ def solve_line(
     def P_mv(x):
         r = x.reshape(nt, nd)
         rhat = np.fft.fft(fem.mass_apply(mesh, r), axis=0)
-        zhat = fem.batched_tridiag_solve(sub, diag, sup, rhat)
+        zhat = fem.batched_tridiag_solve(band, rhat)
         return np.fft.ifft(zhat, axis=0).ravel()
 
     N = nt * nd
@@ -262,11 +260,7 @@ def timestep_reference(
         lhs = mband / dt + half
         rhs = fem.tridiag_apply(mband / dt - half, u[j])
         rhs += fem.mass_apply(mesh, 0.5 * (f.values[j] + f.values[j + 1]))
-        ab = np.zeros((3, nd), dtype=complex)
-        ab[0, 1:] = lhs[1, :-1]
-        ab[1] = lhs[0]
-        ab[2, :-1] = lhs[1, :-1]
-        u[j + 1] = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        u[j + 1] = fem.batched_tridiag_solve(lhs, rhs)
         if lipschitz_check:
             nj = np.sqrt(max(fem.h_inner(mesh, u[j], u[j]).real, 0.0))
             nj1 = np.sqrt(max(fem.h_inner(mesh, u[j + 1], u[j + 1]).real, 0.0))

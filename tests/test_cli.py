@@ -115,6 +115,20 @@ class TestValidation:
         err = capsys.readouterr().err
         assert all(name in err for name in ("bmo", "half_sobolev", "holder", "dini"))
 
+    @pytest.mark.parametrize("item, named", [
+        ("time.n_points=64.0", "n_points"),
+        ("mesh.n_cells=16.0", "n_cells"),
+        ("time.window_factor=4.0", "time.window_factor"),
+        ("time.window_factor=2", "time.window_factor"),
+        ("time.window_factor=6", "time.window_factor"),
+    ])
+    def test_counts_must_be_integers(self, tmp_path, capsys, item, named):
+        # a float count or a window that extend_full cannot build is a
+        # validation error, not a traceback or a solver failure
+        code = run_cli("solve", "autonomous-dirichlet", "--set", item, outdir=tmp_path)
+        assert code == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+
     def test_bad_coefficient_kind(self, tmp_path):
         code = run_cli("solve", "autonomous-dirichlet",
                        "--set", 'coefficient.kind="fractal"',
@@ -144,7 +158,9 @@ class TestSolverFailure:
         assert code == EXIT_SOLVER
         err = capsys.readouterr().err.strip().splitlines()
         assert "did not converge" in err[0]
-        assert isinstance(json.loads(err[-1]), dict)
+        record = json.loads(err[-1])
+        assert isinstance(record, dict)
+        assert "n =" in record["error"]
 
 
 class TestSolveBehavior:
@@ -217,6 +233,28 @@ class TestSolveBehavior:
         assert row.value > 0
         assert row.divergent_flag is False
         assert len(rep.diagnostics["alpha_0.5"]["estimates"]) == 3
+
+    def test_commutator_reports_file_kind_and_seed(self, tmp_path):
+        A = generate_family("step", TimeGrid(0.0, 1.0, 256), SpaceMesh(0.0, 1.0, 64),
+                            seed=5)
+        prefix = str(tmp_path / "field")
+        save_field(A, prefix)
+        # the bundled config names the constant kind and seed 0
+        code = run_cli("commutator", "autonomous-dirichlet",
+                       "--set", f"coefficient.file={json.dumps(prefix)}",
+                       outdir=tmp_path)
+        assert code == EXIT_OK
+        rep = load_report(str(tmp_path / "autonomous-dirichlet.report.json"))
+        assert rep.coefficient == {"kind": "step", "seed": 5}
+
+    def test_commutator_reports_mollified_kind(self, tmp_path):
+        code = run_cli("commutator", "sqrt-product",
+                       "--set", 'coefficient.kind="holder"',
+                       "--set", "coefficient.mollify_width=8",
+                       outdir=tmp_path)
+        assert code == EXIT_OK
+        rep = load_report(str(tmp_path / "sqrt-product.report.json"))
+        assert rep.coefficient["kind"] == "holder+mollify8"
 
 
 class TestLadderRungs:

@@ -258,7 +258,7 @@ class TestFamilies:
         # refining the grid keeps the shared octaves: coarse samples are
         # close to the fine field evaluated at the same times
         A = generate_family("holder", GRID, MESH, seed=13, alpha=0.45)
-        B = generate_family("holder", GRID.refined(), MESH, seed=13, alpha=0.45)
+        B = generate_family("holder", TimeGrid(GRID.t_start, GRID.t_end, 2 * GRID.n_points), MESH, seed=13, alpha=0.45)
         coarse_on_fine = B.values[::2]
         # the fine field has one extra octave of amplitude 2^(-0.45 J)
         extra = 2.0 ** (-0.45 * (np.log2(GRID.n_points) - 2))

@@ -134,14 +134,11 @@ class TestBandBuilders:
         z = 1.0 + rng.random(5)
         if complex_z:
             z = z + 1j * rng.standard_normal(5)
-        sub, diag, sup = shifted_bands(m, z, a)
+        band = shifted_bands(m, z, a)
         mband, kband = mass_banded(m), stiffness_banded(m, a)
+        assert band.shape == (2, 5, m.n_dofs)
         for k in range(5):
-            d = z[k] * mband[0] + kband[0]
-            off = (z[k] * mband[1] + kband[1])[:-1]
-            assert same_bits(diag[k], d)
-            assert same_bits(sub[k, 1:], off) and sub[k, 0] == 0
-            assert same_bits(sup[k, :-1], off) and sup[k, -1] == 0
+            assert same_bits(band[:, k], z[k] * mband + kband)
 
 
 class TestStiffness:
@@ -209,24 +206,19 @@ class TestEigenpairs:
 class TestBatchedTridiag:
     def test_matches_scipy_per_system(self):
         m = SpaceMesh(0.0, 1.0, 32)
-        mband = mass_banded(m)
-        kband = stiffness_banded(m, 1.0 + np.linspace(0, 1, m.n_cells))
+        a = 1.0 + np.linspace(0, 1, m.n_cells)
         rng = np.random.default_rng(7)
         shifts = 1.0 + 1j * np.array([0.0, 5.0, -40.0])
         ndof = m.n_dofs
         rhs = rng.standard_normal((3, ndof)) + 1j * rng.standard_normal((3, ndof))
-        # symmetric tridiagonal (z M + K) per shift, in (sub, diag, sup) form
-        diag = shifts[:, None] * mband[0] + kband[0]
-        off = shifts[:, None] * mband[1] + kband[1]   # off[..., -1] unused
-        sub = np.zeros_like(diag)
-        sup = np.zeros_like(diag)
-        sub[:, 1:] = off[:, :-1]
-        sup[:, :-1] = off[:, :-1]
-        got = batched_tridiag_solve(sub, diag, sup, rhs)
+        # symmetric tridiagonal (z M + K) per shift, as lower bands
+        band = shifted_bands(m, shifts, a)
+        got = batched_tridiag_solve(band, rhs)
         for i in range(3):
+            diag, off = band[:, i]
             ab = np.zeros((3, ndof), dtype=complex)
-            ab[1] = diag[i]
-            ab[0, 1:] = off[i, :-1]
-            ab[2, :-1] = off[i, :-1]
+            ab[1] = diag
+            ab[0, 1:] = off[:-1]
+            ab[2, :-1] = off[:-1]
             ref = solve_banded((1, 1), ab, rhs[i])
             assert np.abs(got[i] - ref).max() <= 1e-11 * max(np.abs(ref).max(), 1.0)

@@ -15,7 +15,6 @@ from maxreg.norms import (
     l2h_norm,
     l2v_grad_norm,
     maxreg_ratio,
-    operator_norm_equivalence_probe,
     sobolev_norm,
     time_derivative,
     zero_field,
@@ -178,26 +177,3 @@ class TestDualNorm:
         expected = np.sqrt(GRID.period / (1.0 + abs(tau0) + mu))
         assert got == pytest.approx(expected, rel=1e-10)
 
-
-class TestOperatorNormProbe:
-    def test_zero_difference(self):
-        A = generate_family("constant", TimeGrid(0.0, 1.0, 64), MESH)
-        dual, ess = operator_norm_equivalence_probe(A, 0.0, 0.5)
-        assert dual == 0.0 and ess == 0.0
-
-    def test_identity_difference_ratio_bounded(self):
-        grid = TimeGrid(0.0, 1.0, 64)
-        A = generate_family("step", grid, MESH, amp=0.5)
-        dual, ess = operator_norm_equivalence_probe(A, 0.125, 0.875)
-        assert ess == pytest.approx(0.5, abs=1e-12)
-        assert 0.05 <= dual / ess <= 20.0
-
-    def test_ratio_stable_under_mesh_refinement(self):
-        grid = TimeGrid(0.0, 1.0, 64)
-        vals = []
-        for n_x in (32, 64):
-            mesh = SpaceMesh(0.0, 1.0, n_x)
-            A = generate_family("step", grid, mesh, amp=0.5)
-            dual, ess = operator_norm_equivalence_probe(A, 0.125, 0.875)
-            vals.append(dual / ess)
-        assert 0.8 <= vals[1] / vals[0] <= 1.2
