@@ -8,7 +8,7 @@ Subpackages:
   fem           1-D P1 elements, banded and batched linear algebra
   norms         space-time fields and the norms of the spaces in play
   solver        hidden-coercivity line solver, Cauchy pipeline, oracles
-  commutators   [a, D^alpha]: kernel, converged operator norm, factorization check
+  commutators   [a, D^alpha]: application, converged operator norm, factorization check
   report        machine-readable experiment reports
   cli           experiment runner (solve / analyze / extend / commutator / sweep)
 """
@@ -30,8 +30,8 @@ from .solver import (CauchyResult, FormParameters, SolveDiagnostics,
                      SolverError, apply_L, autonomous_oracle, cauchy_solve,
                      choose_delta, coercive_form, solve_line,
                      timestep_reference)
-from .commutators import (CommutatorProbe, commutator_norm_estimate,
-                          factorization_check)
+from .commutators import (CommutatorProbe, commutator_apply,
+                          commutator_norm_estimate, factorization_check)
 from .report import (RegularityReport, SeminormRow, emit_plot_data,
                      emit_report, load_report)
 

@@ -1,5 +1,5 @@
 """Commutators [a, D^alpha] of a multiplier with a fractional derivative:
-the kernel, the converged operator norm (largest singular value by
+application, the converged operator norm (largest singular value by
 Lanczos iteration), and the exact factorization of the half derivative of
 a line solution through the coefficient commutator.
 """
@@ -15,7 +15,7 @@ from .bmo import bmo_seminorm, dyadic_family
 from .coefficients import CoefficientField
 from .norms import SpaceTimeField
 from .solver import SolverError, solve_line
-from .timefourier import (FracOrder, TimeSignal, fourier_multiplier,
+from .timefourier import (FracOrder, GridError, TimeSignal, fourier_multiplier,
                           frac_derivative, frac_symbol)
 
 
@@ -37,6 +37,18 @@ def commutator_kernel(a: np.ndarray, symbol: np.ndarray, u: np.ndarray) -> np.nd
     broadcast against u and a time symbol m.  For a real symbol the adjoint
     is -commutator_kernel(conj(a), symbol, .)."""
     return a * fourier_multiplier(u, symbol) - fourier_multiplier(a * u, symbol)
+
+
+def commutator_apply(a: TimeSignal, alpha: FracOrder | float, u: TimeSignal) -> TimeSignal:
+    """[a, D^alpha]u = a * D^alpha u - D^alpha(a * u); products pointwise in
+    time, the symbol in frequency."""
+    if not a.grid.compatible(u.grid):
+        raise GridError("multiplier and argument live on different grids")
+    alpha_v = alpha.alpha if isinstance(alpha, FracOrder) else FracOrder(alpha).alpha
+    a.check_finite()
+    u.check_finite()
+    symbol = frac_symbol(u.grid.frequencies, alpha_v)
+    return TimeSignal(u.grid, commutator_kernel(a.values, symbol, u.values))
 
 
 def commutator_norm_estimate(a: TimeSignal, alpha: FracOrder | float) -> CommutatorProbe:

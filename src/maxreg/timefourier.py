@@ -126,6 +126,38 @@ class TimeSignal:
         if not np.all(np.isfinite(self.values)):
             raise SignalError("signal contains non-finite samples")
 
+    def resampled(self, n_points: int) -> "TimeSignal":
+        """Trigonometric resampling onto a power-of-two grid (never truncation)."""
+        new_grid = TimeGrid(self.grid.t_start, self.grid.t_end, n_points)
+        coeff = np.fft.fft(self.values, axis=0) / self.n
+        out = np.zeros((n_points,) + self.values.shape[1:], dtype=complex)
+        half = min(self.n, n_points) // 2
+        out[:half] = coeff[:half]
+        out[-half:] = coeff[-half:]
+        vals = np.fft.ifft(out * n_points, axis=0)
+        if np.isrealobj(self.values):
+            vals = vals.real
+        return TimeSignal(new_grid, vals)
+
+
+def signal_from_samples(grid_window: tuple[float, float], samples: np.ndarray) -> TimeSignal:
+    """Build a TimeSignal, resampling to the next power of two if needed."""
+    samples = np.asarray(samples)
+    n = samples.shape[0]
+    if _is_pow2(n) and n >= 8:
+        return TimeSignal(TimeGrid(*grid_window, n), samples)
+    n2 = max(8, 1 << int(np.ceil(np.log2(n))))
+    # interpolate linearly onto the power-of-two grid, then wrap in a signal
+    t_old = grid_window[0] + (grid_window[1] - grid_window[0]) / n * np.arange(n)
+    g = TimeGrid(grid_window[0], grid_window[1], n2)
+    flat = samples.reshape(n, -1)
+    out = np.empty((n2, flat.shape[1]), dtype=flat.dtype)
+    for j in range(flat.shape[1]):
+        out[:, j] = np.interp(g.points, t_old, flat[:, j].real)
+        if np.iscomplexobj(flat):
+            out[:, j] = out[:, j] + 1j * np.interp(g.points, t_old, flat[:, j].imag)
+    return TimeSignal(g, out.reshape((n2,) + samples.shape[1:]))
+
 
 def fourier_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """ifft(symbol * fft(values)) along axis 0, broadcasting the (n,) symbol
@@ -191,3 +223,42 @@ def time_inner_product(u: TimeSignal, v: TimeSignal) -> complex:
 
 def time_norm(u: TimeSignal) -> float:
     return float(np.sqrt(max(time_inner_product(u, u).real, 0.0)))
+
+
+def mean_value(u: TimeSignal) -> np.ndarray:
+    return np.mean(u.values, axis=0)
+
+
+def save_signal(u: TimeSignal, path: str, format: str = "csv") -> str:
+    """Serialize a scalar signal.
+
+    csv: header "t,re,im", one row per sample.
+    binary: flat little-endian float64 records (t, re, im), n rows, no header;
+    the grid is reconstructed on load from the uniform t column.
+    """
+    if u.values.ndim != 1:
+        raise SignalError("serialization is defined for scalar signals")
+    cols = np.column_stack([u.grid.points, u.values.real, u.values.imag])
+    if format == "csv":
+        np.savetxt(path, cols, delimiter=",", header="t,re,im", comments="")
+    elif format == "binary":
+        cols.astype("<f8").tofile(path)
+    else:
+        raise ValueError(f"unknown signal format {format!r}")
+    return path
+
+
+def load_signal(path: str, format: str = "csv") -> TimeSignal:
+    if format == "csv":
+        cols = np.loadtxt(path, delimiter=",", skiprows=1)
+    elif format == "binary":
+        cols = np.fromfile(path, dtype="<f8").reshape(-1, 3)
+    else:
+        raise ValueError(f"unknown signal format {format!r}")
+    t, re, im = cols[:, 0], cols[:, 1], cols[:, 2]
+    n = len(t)
+    dt = t[1] - t[0]
+    if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-9 * max(abs(dt), 1.0)):
+        raise SignalError("serialized signal is not on a uniform grid")
+    grid = TimeGrid(float(t[0]), float(t[0] + n * dt), n)
+    return TimeSignal(grid, re + 1j * im)

@@ -10,6 +10,7 @@ from scipy.stats import spearmanr
 from maxreg.bmo import refinement_verdict
 from maxreg.coefficients import generate_family, mollify
 from maxreg.commutators import (
+    commutator_apply,
     commutator_kernel,
     commutator_norm_estimate,
     factorization_check,
@@ -17,6 +18,7 @@ from maxreg.commutators import (
 from maxreg.fem import SpaceMesh
 from maxreg.norms import SpaceTimeField, zero_field
 from maxreg.timefourier import (
+    GridError,
     TimeGrid,
     TimeSignal,
     frac_derivative,
@@ -32,12 +34,6 @@ MESH8 = SpaceMesh(0.0, 1.0, 8)
 def multiplier(kind="sqrt_product", n=256, seed=7, **kw):
     grid = TimeGrid(-1.0, 1.0, n)
     return generate_family(kind, grid, MESH8, seed=seed, **kw).column(0)
-
-
-def commutator_apply(a, alpha, u):
-    """[a, D^alpha]u as a signal on u's grid."""
-    symbol = frac_symbol(u.grid.frequencies, alpha)
-    return TimeSignal(u.grid, commutator_kernel(a.values, symbol, u.values))
 
 
 def rough_signal(grid, seed=0):
@@ -71,6 +67,12 @@ class TestCommutatorApply:
         base = commutator_apply(a, 0.5, u)
         assert np.abs(scaled.values - s * base.values).max() <= 1e-12 * np.abs(
             base.values).max()
+
+    def test_grid_mismatch_rejected(self):
+        a = multiplier(n=256)
+        u = rough_signal(TimeGrid(-1.0, 1.0, 512))
+        with pytest.raises(GridError):
+            commutator_apply(a, 0.5, u)
 
     def test_adjoint_relation(self):
         # <[a, D^a]u, v> = <u, -[conj(a), D^a]v>

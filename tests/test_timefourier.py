@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from maxreg.timefourier import (
     FracOrder,
     GridError,
+    SignalError,
     TimeGrid,
     TimeSignal,
     UniformGrid,
@@ -15,6 +16,10 @@ from maxreg.timefourier import (
     frac_symbol,
     hilbert_symbol,
     hilbert_transform,
+    load_signal,
+    mean_value,
+    save_signal,
+    signal_from_samples,
     time_inner_product,
     time_norm,
     twist_inverse,
@@ -50,7 +55,7 @@ class TestTimeGrid:
         g = TimeGrid(0.0, 2.0, 16)
         assert np.allclose(g.frequencies, 2 * np.pi * np.fft.fftfreq(16, d=g.dt))
 
-    def test_compatible(self):
+    def test_refined_compatible(self):
         g = TimeGrid(0.0, 1.0, 64)
         assert not g.compatible(TimeGrid(0.0, 1.0, 128))
         assert g.compatible(TimeGrid(0.0, 1.0, 64))
@@ -222,3 +227,39 @@ class TestInnerProduct:
         with pytest.raises(GridError):
             time_inner_product(u, v)
 
+
+class TestResampling:
+    def test_trig_interpolation_exact_on_modes(self):
+        g = TimeGrid(0.0, 1.0, 64)
+        u = TimeSignal(g, np.exp(2j * np.pi * 5 * g.points))
+        fine = u.resampled(256)
+        expected = np.exp(2j * np.pi * 5 * fine.grid.points)
+        assert np.abs(fine.values - expected).max() <= 1e-12
+
+    def test_non_power_of_two_samples_resampled(self):
+        t = np.linspace(0.0, 1.0, 100, endpoint=False)
+        sig = signal_from_samples(t, np.sin(2 * np.pi * t))
+        assert sig.grid.n_points == 128
+
+    def test_mean_preserved(self):
+        g = TimeGrid(0.0, 1.0, 64)
+        u = random_signal(g, 3)
+        assert abs(mean_value(u.resampled(128)) - mean_value(u)) <= 1e-12
+
+
+class TestSerialization:
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_round_trip(self, fmt, tmp_path):
+        g = TimeGrid(-1.0, 1.0, 64)
+        u = random_signal(g, 9)
+        path = str(tmp_path / f"sig.{fmt}")
+        save_signal(u, path, fmt)
+        v = load_signal(path, fmt)
+        assert v.grid.compatible(g)
+        assert np.abs(v.values - u.values).max() <= 1e-15
+
+    def test_rejects_vector_values(self, tmp_path):
+        g = TimeGrid(0.0, 1.0, 64)
+        u = TimeSignal(g, np.zeros((64, 2), dtype=complex))
+        with pytest.raises(SignalError):
+            save_signal(u, str(tmp_path / "x.csv"))
