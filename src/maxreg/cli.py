@@ -254,7 +254,7 @@ def _seminorm_ladder(cfg: dict, A: CoefficientField, rows: list[SeminormRow],
             functional=label, order=order, value=last.value,
             achieving_interval=last.achieving_interval,
             resolution=rungs[-1].n, divergent_flag=divergent,
-            seed=cfg["coefficient"]["seed"],
+            seed=A.seed,
         ))
 
     def ladder(label, order, evaluate):
@@ -408,7 +408,7 @@ def run_commutator(cfg: dict) -> RegularityReport:
             functional="commutator_norm", order=alpha, value=probe.estimate,
             achieving_interval=None, resolution=rungs[-1].n,
             divergent_flag=_refinement_flag(cfg, estimates),
-            seed=cfg["coefficient"]["seed"],
+            seed=A.seed,
         ))
         diagnostics[f"alpha_{alpha}"] = {
             "estimates": estimates,

@@ -4,10 +4,16 @@ The mesh encodes the form domain V through its boundary tags: Dirichlet
 ends have their node eliminated, Neumann ends keep it (natural condition).
 Degrees of freedom are the remaining node values.  All operators act on
 the LAST axis so that space-time arrays of shape (nt, ndof) vectorize over
-time for free.
+time for free; they keep the memory order of their input, so a
+time-contiguous (Fortran-ordered) (nt, ndof) view stays time-contiguous.
+The one exception is the batched tridiagonal factor and solve
+(`shifted_bands`, `tridiag_factor`, `batched_tridiag_solve`): they act on
+axis 0, so that a batch of one system per time mode is held as (ndof, nt)
+and every step of the sweep is a contiguous row.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -67,16 +73,30 @@ class SpaceMesh:
     def n_dofs(self) -> int:
         return int(self.free_mask.sum())
 
+    @property
+    def free_slice(self) -> slice:
+        """The free dofs are the contiguous nodes first..first+ndof-1."""
+        first = 1 if self.bc_left == DIRICHLET else 0
+        return slice(first, first + self.n_dofs)
+
+
+def _node_zeros(mesh: SpaceMesh, like: np.ndarray) -> np.ndarray:
+    """Zero node array (..., n_cells+1) in the memory order of `like`, so
+    that a time-contiguous (Fortran-ordered) field stays time-contiguous."""
+    order = "F" if like.ndim > 1 and like.flags.f_contiguous else "C"
+    return np.zeros(like.shape[:-1] + (mesh.n_cells + 1,), dtype=like.dtype, order=order)
+
 
 def embed(mesh: SpaceMesh, u: np.ndarray) -> np.ndarray:
     """Dof array (..., ndof) -> full node array (..., n_cells+1), Dirichlet = 0."""
-    full = np.zeros(u.shape[:-1] + (mesh.n_cells + 1,), dtype=u.dtype)
-    full[..., mesh.free_mask] = u
+    full = _node_zeros(mesh, u)
+    full[..., mesh.free_slice] = u
     return full
 
 
 def restrict(mesh: SpaceMesh, full: np.ndarray) -> np.ndarray:
-    return full[..., mesh.free_mask]
+    """Free-dof view (..., ndof) of a full node array."""
+    return full[..., mesh.free_slice]
 
 
 def gradient(mesh: SpaceMesh, u: np.ndarray) -> np.ndarray:
@@ -88,7 +108,7 @@ def gradient(mesh: SpaceMesh, u: np.ndarray) -> np.ndarray:
 def gradient_adjoint(mesh: SpaceMesh, w: np.ndarray) -> np.ndarray:
     """Adjoint of `gradient` against the cell quadrature h*sum: returns the
     dof vector representing v -> sum_c h * w_c * conj(grad v)_c."""
-    full = np.zeros(w.shape[:-1] + (mesh.n_cells + 1,), dtype=w.dtype)
+    full = _node_zeros(mesh, w)
     full[..., :-1] -= w
     full[..., 1:] += w
     return restrict(mesh, full)
@@ -104,19 +124,19 @@ def stiffness_apply(mesh: SpaceMesh, a_cells: np.ndarray, u: np.ndarray) -> np.n
 
 
 def _free_band(mesh: SpaceMesh, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Lower band (2, ndof) of the free-dof block of a nodal tridiagonal
-    matrix with diagonal diag and off-diagonal off.  The free dofs are the
-    contiguous nodes first..first+ndof-1, so the block is a slice."""
-    first = 1 if mesh.bc_left == DIRICHLET else 0
-    nd = mesh.n_dofs
-    band = np.zeros((2, nd), dtype=diag.dtype)
-    band[0] = diag[first : first + nd]
-    band[1, :-1] = off[first : first + nd - 1]
+    """Lower band (2, ..., ndof) of the free-dof block of nodal tridiagonal
+    matrices with diagonals diag (..., n_nodes) and off-diagonals off.  The
+    free dofs are the contiguous nodes `mesh.free_slice`, so the block is a
+    slice."""
+    free = mesh.free_slice
+    band = np.zeros((2,) + diag.shape[:-1] + (mesh.n_dofs,), dtype=diag.dtype)
+    band[0] = diag[..., free]
+    band[1, ..., :-1] = off[..., free.start : free.stop - 1]
     return band
 
 
 def mass_banded(mesh: SpaceMesh) -> np.ndarray:
-    """P1 mass matrix in lower banded form (2, ndof) for solveh_banded."""
+    """P1 mass matrix in lower banded form (2, ndof)."""
     n_nodes = mesh.n_cells + 1
     h = mesh.h
     diag = np.full(n_nodes, 2 * h / 3)
@@ -140,21 +160,23 @@ def tridiag_apply(band_lower: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def stiffness_banded(mesh: SpaceMesh, a_cells: np.ndarray) -> np.ndarray:
-    """Stiffness matrix with cell coefficients in lower banded form (2, ndof)."""
+    """Stiffness matrices with cell coefficients a_cells (..., n_cells) in
+    lower banded form (2, ..., ndof)."""
     a = np.asarray(a_cells, dtype=complex if np.iscomplexobj(a_cells) else float)
     h = mesh.h
     n_nodes = mesh.n_cells + 1
-    diag = np.zeros(n_nodes, dtype=a.dtype)
-    diag[:-1] += a / h
-    diag[1:] += a / h
+    diag = np.zeros(a.shape[:-1] + (n_nodes,), dtype=a.dtype)
+    diag[..., :-1] += a / h
+    diag[..., 1:] += a / h
     return _free_band(mesh, diag, -a / h)
 
 
 def shifted_bands(mesh: SpaceMesh, z: np.ndarray, a_cells: np.ndarray) -> np.ndarray:
-    """Lower bands (2, len(z), ndof) of z_k M + K(a) for a batch of shifts z,
-    laid out for `batched_tridiag_solve`."""
-    z = np.asarray(z)[:, None]
-    return z * mass_banded(mesh)[:, None] + stiffness_banded(mesh, a_cells)[:, None]
+    """Lower bands (2, ndof, len(z)) of z_k M + K(a) for a batch of shifts z,
+    laid out for `tridiag_factor`."""
+    band = np.asarray(z) * mass_banded(mesh)[:, :, None]
+    band += stiffness_banded(mesh, a_cells)[:, :, None]
+    return band
 
 
 def mass_apply(mesh: SpaceMesh, u: np.ndarray) -> np.ndarray:
@@ -162,23 +184,20 @@ def mass_apply(mesh: SpaceMesh, u: np.ndarray) -> np.ndarray:
     return tridiag_apply(_mass_band_cached(mesh), u)
 
 
-_MASS_CACHE: dict[SpaceMesh, np.ndarray] = {}
-
-
+@functools.cache
 def _mass_band_cached(mesh: SpaceMesh) -> np.ndarray:
-    band = _MASS_CACHE.get(mesh)
-    if band is None:
-        band = mass_banded(mesh)
-        _MASS_CACHE[mesh] = band
-    return band
+    return mass_banded(mesh)
+
+
+@functools.cache
+def _mass_factors(mesh: SpaceMesh) -> np.ndarray:
+    return tridiag_factor(_mass_band_cached(mesh).copy())
 
 
 def mass_solve(mesh: SpaceMesh, rhs: np.ndarray) -> np.ndarray:
-    """M^{-1} rhs on the last axis."""
-    band = _mass_band_cached(mesh)
-    flat = rhs.reshape(-1, rhs.shape[-1])
-    out = scipy.linalg.solveh_banded(band, flat.T, lower=True).T
-    return out.reshape(rhs.shape)
+    """M^{-1} rhs on the last axis, by the sweep of `batched_tridiag_solve`
+    on the cached LDL^T factors of M."""
+    return np.moveaxis(_sweep(_mass_factors(mesh), np.moveaxis(rhs, -1, 0)), 0, -1)
 
 
 def h_inner(mesh: SpaceMesh, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -205,26 +224,41 @@ def laplace_eigenpairs(mesh: SpaceMesh, a_cells: np.ndarray | None = None):
     return mu, Phi
 
 
-def batched_tridiag_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a batch of symmetric tridiagonal systems by the Thomas algorithm.
+def tridiag_factor(band: np.ndarray) -> np.ndarray:
+    """Overwrite lower bands (2, n, ...) of symmetric tridiagonal matrices
+    with their LDL^T factors and return them: band[0] becomes 1/D and
+    band[1, k] the multiplier off_k / D_k (band[1, -1] is ignored).
 
-    band: lower bands (2, ..., n), the layout of `mass_banded` and
-    `shifted_bands` (band[1, ..., -1] ignored); rhs: (..., n).  No pivoting;
-    intended for shifted mass+stiffness matrices whose real part is positive
-    definite.
+    No pivoting; intended for shifted mass+stiffness matrices whose real
+    part is positive definite.
     """
-    diag, off = band[0], band[1]
-    n = diag.shape[-1]
-    c = np.empty_like(diag)
-    d = np.empty_like(rhs)
-    c[..., 0] = off[..., 0] / diag[..., 0]
-    d[..., 0] = rhs[..., 0] / diag[..., 0]
-    for k in range(1, n):
-        denom = diag[..., k] - off[..., k - 1] * c[..., k - 1]
-        c[..., k] = off[..., k] / denom if k < n - 1 else 0.0
-        d[..., k] = (rhs[..., k] - off[..., k - 1] * d[..., k - 1]) / denom
-    x = np.empty_like(rhs)
-    x[..., -1] = d[..., -1]
-    for k in range(n - 2, -1, -1):
-        x[..., k] = d[..., k] - c[..., k] * x[..., k + 1]
-    return x
+    inv_d, mult = band[0], band[1]
+    for k in range(band.shape[1] - 1):
+        inv_d[k] = 1.0 / inv_d[k]
+        m = mult[k] * inv_d[k]
+        inv_d[k + 1] -= m * mult[k]
+        mult[k] = m
+    inv_d[-1] = 1.0 / inv_d[-1]
+    return band
+
+
+def batched_tridiag_solve(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the systems factored by `tridiag_factor` for rhs (n, ...),
+    one system per trailing index: two bidiagonal sweeps along axis 0 and
+    a diagonal scaling."""
+    return _sweep(factors, rhs)
+
+
+def _sweep(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solve of `batched_tridiag_solve`, shared with `mass_solve` under a
+    private name so that bench/tracing.py counts the mode-batched solves
+    only.  factors (2, n, ...) broadcast against rhs (n, ...)."""
+    pad = (1,) * (rhs.ndim + 1 - factors.ndim)
+    inv_d, mult = factors.reshape(factors.shape + pad)
+    y = np.array(rhs, dtype=np.result_type(factors, rhs), order="C")
+    for k in range(y.shape[0] - 1):
+        y[k + 1] -= mult[k] * y[k]
+    y *= inv_d
+    for k in range(y.shape[0] - 2, -1, -1):
+        y[k] -= mult[k] * y[k + 1]
+    return y

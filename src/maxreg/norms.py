@@ -128,9 +128,9 @@ def dual_norm_estar(f: SpaceTimeField, theta_weight: float = 1.0) -> float:
     n = f.time_grid.n_points
     tau = np.abs(f.time_grid.frequencies)
     fhat = np.fft.fft(f.values, axis=0) / n
-    rhs = fem.mass_apply(mesh, fhat)
-    band = fem.shifted_bands(mesh, theta_weight + tau, np.ones(mesh.n_cells))
-    z = fem.batched_tridiag_solve(band.astype(complex), rhs)
+    rhs = fem.mass_apply(mesh, fhat).T
+    factors = fem.tridiag_factor(
+        fem.shifted_bands(mesh, theta_weight + tau, np.ones(mesh.n_cells)))
+    z = fem.batched_tridiag_solve(factors, rhs)
     val = float(np.sum(np.conj(rhs) * z).real * f.time_grid.period)
     return float(np.sqrt(max(val, 0.0)))
-

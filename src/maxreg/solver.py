@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse.linalg as spla
 
 from . import fem, norms
@@ -125,22 +126,24 @@ def solve_line(
         raise SolverError("right-hand side contains non-finite samples")
     mesh, grid = f.mesh, f.time_grid
     nt, nd = grid.n_points, mesh.n_dofs
-    a_cells = A.scalar_cells()
+    # the GMRES iterate is held time-contiguous as (nd, nt): the (nt, nd)
+    # views handed to the fem kernels are Fortran-ordered, and so is a_cells
+    a_cells = np.asfortranarray(A.scalar_cells())
     z = 1j * grid.frequencies + theta
-    # mode-diagonal preconditioner: (i*tau + theta) M + K(mean A) per mode
-    band = fem.shifted_bands(mesh, z, a_cells.mean(axis=0).real)
+    # mode-diagonal preconditioner: (i*tau + theta) M + K(mean A) per mode,
+    # factored once
+    factors = fem.tridiag_factor(fem.shifted_bands(mesh, z, a_cells.mean(axis=0).real))
 
     def L_mv(x):
-        u = x.reshape(nt, nd)
+        u = x.reshape(nd, nt).T
         du = fourier_multiplier(u, z)
         Ku = fem.stiffness_apply(mesh, a_cells, u)
-        return (du + fem.mass_solve(mesh, Ku)).ravel()
+        return (du + fem.mass_solve(mesh, Ku)).T.ravel()
 
     def P_mv(x):
-        r = x.reshape(nt, nd)
-        rhat = np.fft.fft(fem.mass_apply(mesh, r), axis=0)
-        zhat = fem.batched_tridiag_solve(band, rhat)
-        return np.fft.ifft(zhat, axis=0).ravel()
+        r = x.reshape(nd, nt)
+        rhat = np.fft.fft(fem.mass_apply(mesh, r.T).T, axis=-1)
+        return np.fft.ifft(fem.batched_tridiag_solve(factors, rhat), axis=-1).ravel()
 
     N = nt * nd
     Lop = spla.LinearOperator((N, N), matvec=L_mv, dtype=complex)
@@ -151,14 +154,13 @@ def solve_line(
     def cb(_):
         iters[0] += 1
 
-    fvec = f.values.ravel()
     fnorm = norms.l2h_norm(f)
     if fnorm == 0.0:
         return zero_field(grid, mesh), SolveDiagnostics(residual=0.0, iterations=0)
-    x, info = spla.gmres(Lop, fvec, M=Pop, rtol=min(tol * 1e-2, 1e-10), atol=0.0,
-                         maxiter=maxiter, callback=cb, callback_type="pr_norm")
-    u = SpaceTimeField(grid, mesh, x.reshape(nt, nd))
-    res_field = SpaceTimeField(grid, mesh, L_mv(x).reshape(nt, nd) - f.values)
+    x, info = spla.gmres(Lop, f.values.T.ravel(), M=Pop, rtol=min(tol * 1e-2, 1e-10),
+                         atol=0.0, maxiter=maxiter, callback=cb, callback_type="pr_norm")
+    u = SpaceTimeField(grid, mesh, np.ascontiguousarray(x.reshape(nd, nt).T))
+    res_field = SpaceTimeField(grid, mesh, L_mv(x).reshape(nd, nt).T - f.values)
     rel_res = norms.l2h_norm(res_field) / fnorm
     diag_out = SolveDiagnostics(residual=rel_res, iterations=iters[0])
     if info != 0 or rel_res > tol:
@@ -212,7 +214,8 @@ def cauchy_solve(
     A_full = extend_full(A, window_factor)
     grid = A_full.time_grid
     mesh = A.mesh
-    g = np.zeros((grid.n_points, mesh.n_dofs), dtype=complex)
+    # time-contiguous, the layout solve_line's GMRES iterate takes without a copy
+    g = np.zeros((grid.n_points, mesh.n_dofs), dtype=complex, order="F")
     t_rel = A.time_grid.points  # in [0, T)
     g[n : 2 * n] = np.exp(-t_rel)[:, None] * f.values
     g[n] *= 0.5  # half weight at the jump of the zero-extension
@@ -250,17 +253,22 @@ def timestep_reference(
     mesh, grid = f.mesh, f.time_grid
     nt, nd = grid.n_points, mesh.n_dofs
     dt = grid.dt
+    mband = fem.mass_banded(mesh)[:, None]
+    # midpoint bands of every step: lhs = M/dt + half, rhs = M/dt - half
     a_cells = A.scalar_cells()
-    mband = fem.mass_banded(mesh)
+    half = 0.5 * (fem.stiffness_banded(mesh, 0.5 * (a_cells[:-1] + a_cells[1:]))
+                  + complex(theta) * mband)
+    lhs = mband / dt + half
+    explicit = mband / dt - half
+    f_mid = fem.mass_apply(mesh, 0.5 * (f.values[:-1] + f.values[1:]))
     u = np.zeros((nt, nd), dtype=complex)
     fmax = float(np.sqrt(np.max(np.abs(fem.h_inner(mesh, f.values, f.values).real))))
     for j in range(nt - 1):
-        a_mid = 0.5 * (a_cells[j] + a_cells[j + 1])
-        half = 0.5 * (fem.stiffness_banded(mesh, a_mid) + complex(theta) * mband)
-        lhs = mband / dt + half
-        rhs = fem.tridiag_apply(mband / dt - half, u[j])
-        rhs += fem.mass_apply(mesh, 0.5 * (f.values[j] + f.values[j + 1]))
-        u[j + 1] = fem.batched_tridiag_solve(lhs, rhs)
+        rhs = fem.tridiag_apply(explicit[:, j], u[j]) + f_mid[j]
+        off = lhs[1, j, :-1]
+        *_, u[j + 1], info = scipy.linalg.lapack.zgtsv(off, lhs[0, j], off, rhs)
+        if info != 0:
+            raise SolverError(f"Crank-Nicolson step {j} is singular (zgtsv info={info})")
         if lipschitz_check:
             nj = np.sqrt(max(fem.h_inner(mesh, u[j], u[j]).real, 0.0))
             nj1 = np.sqrt(max(fem.h_inner(mesh, u[j + 1], u[j + 1]).real, 0.0))

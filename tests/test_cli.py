@@ -247,6 +247,24 @@ class TestSolveBehavior:
         rep = load_report(str(tmp_path / "autonomous-dirichlet.report.json"))
         assert rep.coefficient == {"kind": "step", "seed": 5}
 
+    def test_rows_carry_the_field_seed(self, tmp_path):
+        A = generate_family("step", TimeGrid(0.0, 1.0, 256), SpaceMesh(0.0, 1.0, 64),
+                            seed=5)
+        prefix = str(tmp_path / "field")
+        save_field(A, prefix)
+        rows = []
+        # the bundled config names seed 0
+        for command in ("analyze", "commutator"):
+            code = run_cli(command, "autonomous-dirichlet",
+                           "--set", f"coefficient.file={json.dumps(prefix)}",
+                           outdir=tmp_path / command)
+            assert code == EXIT_OK
+            rep = load_report(str(tmp_path / command / "autonomous-dirichlet.report.json"))
+            rows += rep.seminorms
+        named = {"bmo", "scale_invariant_half_sobolev", "commutator_norm"}
+        seeds = {r.functional: r.seed for r in rows if r.functional in named}
+        assert seeds == dict.fromkeys(named, 5)
+
     def test_commutator_reports_mollified_kind(self, tmp_path):
         code = run_cli("commutator", "sqrt-product",
                        "--set", 'coefficient.kind="holder"',

@@ -22,6 +22,7 @@ from maxreg.fem import (
     stiffness_banded,
     tridiag_apply,
     tridiag_dense,
+    tridiag_factor,
 )
 
 BCS = st.sampled_from(["dirichlet", "neumann"])
@@ -136,9 +137,9 @@ class TestBandBuilders:
             z = z + 1j * rng.standard_normal(5)
         band = shifted_bands(m, z, a)
         mband, kband = mass_banded(m), stiffness_banded(m, a)
-        assert band.shape == (2, 5, m.n_dofs)
+        assert band.shape == (2, m.n_dofs, 5)
         for k in range(5):
-            assert same_bits(band[:, k], z[k] * mband + kband)
+            assert same_bits(band[:, :, k], z[k] * mband + kband)
 
 
 class TestStiffness:
@@ -173,6 +174,20 @@ class TestStiffness:
         rng = np.random.default_rng(4)
         u = rng.standard_normal(m.n_dofs)
         assert np.abs(dense @ u - stiffness_apply(m, a, u)).max() <= 1e-13
+
+
+    def test_kernels_keep_time_contiguous_layout(self):
+        # a Fortran-ordered (nt, ndof) view, as the line solver hands over
+        m = SpaceMesh(0.0, 1.0, 16, "neumann", "dirichlet")
+        rng = np.random.default_rng(9)
+        u = (rng.standard_normal((m.n_dofs, 32)) + 1j * rng.standard_normal((m.n_dofs, 32))).T
+        a = np.asfortranarray(1.0 + rng.random((32, m.n_cells)))
+        uc, ac = np.ascontiguousarray(u), np.ascontiguousarray(a)
+        for got, ref in ((stiffness_apply(m, a, u), stiffness_apply(m, ac, uc)),
+                         (mass_apply(m, u), mass_apply(m, uc)),
+                         (mass_solve(m, u), mass_solve(m, uc))):
+            assert got.flags.f_contiguous
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestEigenpairs:
@@ -210,15 +225,29 @@ class TestBatchedTridiag:
         rng = np.random.default_rng(7)
         shifts = 1.0 + 1j * np.array([0.0, 5.0, -40.0])
         ndof = m.n_dofs
-        rhs = rng.standard_normal((3, ndof)) + 1j * rng.standard_normal((3, ndof))
+        rhs = rng.standard_normal((ndof, 3)) + 1j * rng.standard_normal((ndof, 3))
         # symmetric tridiagonal (z M + K) per shift, as lower bands
         band = shifted_bands(m, shifts, a)
-        got = batched_tridiag_solve(band, rhs)
+        got = batched_tridiag_solve(tridiag_factor(band.copy()), rhs)
         for i in range(3):
-            diag, off = band[:, i]
+            diag, off = band[:, :, i]
             ab = np.zeros((3, ndof), dtype=complex)
             ab[1] = diag
             ab[0, 1:] = off[:-1]
             ab[2, :-1] = off[:-1]
-            ref = solve_banded((1, 1), ab, rhs[i])
-            assert np.abs(got[i] - ref).max() <= 1e-11 * max(np.abs(ref).max(), 1.0)
+            ref = solve_banded((1, 1), ab, rhs[:, i])
+            assert np.abs(got[:, i] - ref).max() <= 1e-11 * max(np.abs(ref).max(), 1.0)
+
+    @given(st.integers(4, 24), BCS, BCS, st.integers(1, 8), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_factored_solve_matches_dense(self, n_cells, bc_left, bc_right, batch, seed):
+        m = SpaceMesh(0.0, 1.0, n_cells, bc_left, bc_right)
+        rng = np.random.default_rng(seed)
+        a = 0.1 + rng.random(n_cells)
+        z = rng.uniform(0.01, 2.0, batch) + 1j * rng.uniform(-50.0, 50.0, batch)
+        rhs = rng.standard_normal((m.n_dofs, batch)) + 1j * rng.standard_normal((m.n_dofs, batch))
+        got = batched_tridiag_solve(tridiag_factor(shifted_bands(m, z, a)), rhs)
+        M, K = tridiag_dense(mass_banded(m)), tridiag_dense(stiffness_banded(m, a))
+        for k in range(batch):
+            ref = np.linalg.solve(z[k] * M + K, rhs[:, k])
+            assert np.abs(got[:, k] - ref).max() <= 1e-12 * np.abs(ref).max()

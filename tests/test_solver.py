@@ -127,6 +127,22 @@ class TestSolveLine:
             u, _ = solve_line(A, f, theta=theta)
             assert l2h_norm(u) <= (1.0 / theta.real) * l2h_norm(f) * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize("theta", [1.0, 1.0 + 2.0j])
+    def test_matches_dense_direct_solve(self, theta):
+        # (theta + L) assembled column by column from apply_L on unit fields;
+        # a transposed reshape of the solver's iterate, of f or of u fails this
+        grid, mesh = TimeGrid(-1.0, 3.0, 16), SpaceMesh(0.0, 1.0, 6)
+        A = generate_family("holder", grid, mesh, seed=2)
+        nt, nd = grid.n_points, mesh.n_dofs
+        unit = np.eye(nt * nd, dtype=complex).reshape(nt * nd, nt, nd)
+        dense = np.column_stack([apply_L(SpaceTimeField(grid, mesh, e), A, theta).values.ravel()
+                                 for e in unit])
+        rng = np.random.default_rng(11)
+        f = rng.standard_normal((nt, nd)) + 1j * rng.standard_normal((nt, nd))
+        ref = np.linalg.solve(dense, f.ravel()).reshape(nt, nd)
+        u, _ = solve_line(A, SpaceTimeField(grid, mesh, f), theta=theta)
+        assert np.linalg.norm(u.values - ref) <= 1e-9 * np.linalg.norm(ref)
+
     def test_nonconvergence_raises_with_diagnostics(self):
         A = generate_family("step", WGRID, MESH, seed=3)
         f = sine_forcing(WGRID)
