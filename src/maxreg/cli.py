@@ -163,9 +163,16 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
     return cfg
 
 
-def _build_mesh(cfg: dict) -> SpaceMesh:
+def _setup(cfg: dict) -> tuple[TimeGrid, SpaceMesh, CoefficientField]:
+    """The time grid, mesh and coefficient that the config describes."""
     m = cfg["mesh"]
-    return SpaceMesh(m["x_lo"], m["x_hi"], m["n_cells"], m["bc_left"], m["bc_right"])
+    mesh = SpaceMesh(m["x_lo"], m["x_hi"], m["n_cells"], m["bc_left"], m["bc_right"])
+    grid = TimeGrid(0.0, cfg["time"]["T"], cfg["time"]["n_points"])
+    return grid, mesh, _build_coefficient(cfg, grid, mesh)
+
+
+def _descriptor(A: CoefficientField) -> dict:
+    return {"kind": A.kind, "seed": A.seed, "lambda": A.lam, "Lambda": A.Lam, "T": A.T}
 
 
 def _build_coefficient(cfg: dict, grid: TimeGrid, mesh: SpaceMesh) -> CoefficientField:
@@ -174,6 +181,8 @@ def _build_coefficient(cfg: dict, grid: TimeGrid, mesh: SpaceMesh) -> Coefficien
         A = load_field(c["file"])
         if not A.time_grid.compatible(grid):
             raise ConfigError("coefficient file grid does not match the time spec")
+        if A.mesh != mesh:
+            raise ConfigError("coefficient file mesh does not match the mesh spec")
         return A
     A = generate_family(
         c["kind"], grid, mesh,
@@ -303,13 +312,10 @@ def _extension_rows(A: CoefficientField, rows: list[SeminormRow],
 
 
 def run_solve(cfg: dict) -> RegularityReport:
-    mesh = _build_mesh(cfg)
-    grid = TimeGrid(0.0, cfg["time"]["T"], cfg["time"]["n_points"])
-    A = _build_coefficient(cfg, grid, mesh)
+    grid, mesh, A = _setup(cfg)
     f = _build_forcing(cfg, grid, mesh)
     res = cauchy_solve(A, f, window_factor=cfg["time"]["window_factor"],
                        tol=cfg["solver"]["tolerance"])
-    diag = res.diagnostics
 
     norms = {
         "l2h_u": l2h_norm(res.u),
@@ -322,11 +328,8 @@ def run_solve(cfg: dict) -> RegularityReport:
     if norms["l2h_f"] > 0:
         for alpha in cfg["analysis"]["alphas"]:
             ratios[f"maxreg_alpha_{alpha}"] = maxreg_ratio(res.u, f, alpha)
-    diagnostics = {
-        "residual": diag.residual,
-        "iterations": diag.iterations,
-        "guard_mass_fraction": diag.guard_mass_fraction,
-    }
+    diagnostics = {**dataclasses.asdict(res.diagnostics),
+                   "guard_mass_fraction": res.guard_mass_fraction}
     if A.kind == "constant" and A.dim == 1 and norms["l2h_f"] > 0:
         ref = autonomous_oracle(A.scalar_cells()[0].real, f, theta=0.0)
         dev = float(np.linalg.norm(res.u.values - ref.values)
@@ -342,8 +345,7 @@ def run_solve(cfg: dict) -> RegularityReport:
 
     return RegularityReport(
         experiment_id=cfg["experiment_id"],
-        coefficient={"kind": A.kind, "seed": A.seed, "lambda": A.lam,
-                     "Lambda": A.Lam, "T": A.T},
+        coefficient=_descriptor(A),
         resolutions={"n_t": grid.n_points, "n_x": mesh.n_cells,
                      "window_factor": cfg["time"]["window_factor"]},
         norms=norms, ratios=ratios, seminorms=rows, diagnostics=diagnostics,
@@ -353,17 +355,14 @@ def run_solve(cfg: dict) -> RegularityReport:
 def run_analyze(cfg: dict) -> RegularityReport:
     """Coefficient-only: the full regularity ladder plus extension constants.
     No solve is performed."""
-    mesh = _build_mesh(cfg)
-    grid = TimeGrid(0.0, cfg["time"]["T"], cfg["time"]["n_points"])
-    A = _build_coefficient(cfg, grid, mesh)
+    grid, mesh, A = _setup(cfg)
     rows: list[SeminormRow] = []
     checks: dict = {}
     _seminorm_ladder(cfg, A, rows, checks)
     _extension_rows(A, rows, checks)
     return RegularityReport(
         experiment_id=cfg["experiment_id"],
-        coefficient={"kind": A.kind, "seed": A.seed, "lambda": A.lam,
-                     "Lambda": A.Lam, "T": A.T},
+        coefficient=_descriptor(A),
         resolutions={"n_t": grid.n_points, "n_x": mesh.n_cells},
         seminorms=rows, diagnostics=checks,
     )
@@ -371,9 +370,7 @@ def run_analyze(cfg: dict) -> RegularityReport:
 
 def run_extend(cfg: dict) -> RegularityReport:
     """Materialize the full extension A-natural and save it next to the report."""
-    mesh = _build_mesh(cfg)
-    grid = TimeGrid(0.0, cfg["time"]["T"], cfg["time"]["n_points"])
-    A = _build_coefficient(cfg, grid, mesh)
+    grid, mesh, A = _setup(cfg)
     An = extend_full(A, window_factor=cfg["time"]["window_factor"])
     prefix = _output_path(cfg, ".extended")
     save_field(An, prefix)
@@ -382,8 +379,7 @@ def run_extend(cfg: dict) -> RegularityReport:
     _extension_rows(A, rows, checks)
     return RegularityReport(
         experiment_id=cfg["experiment_id"],
-        coefficient={"kind": A.kind, "seed": A.seed, "lambda": A.lam,
-                     "Lambda": A.Lam, "T": A.T},
+        coefficient=_descriptor(A),
         resolutions={"n_t": grid.n_points, "n_x": mesh.n_cells,
                      "window_factor": cfg["time"]["window_factor"]},
         seminorms=rows, diagnostics=checks,
@@ -393,9 +389,7 @@ def run_extend(cfg: dict) -> RegularityReport:
 def run_commutator(cfg: dict) -> RegularityReport:
     """[a, D^alpha] probe up the ladder's rungs with the refinement-based
     divergence flag."""
-    mesh = _build_mesh(cfg)
-    grid = TimeGrid(0.0, cfg["time"]["T"], cfg["time"]["n_points"])
-    A = _build_coefficient(cfg, grid, mesh)
+    _, mesh, A = _setup(cfg)
     diagnostics: dict = {}
     rungs = _ladder_rungs(cfg, A, diagnostics)
     diagnostics["resolutions"] = [s.n for s in rungs]

@@ -117,7 +117,7 @@ def maxreg_ratio(u: SpaceTimeField, f: SpaceTimeField, alpha: float = 0.5) -> fl
     return (sobolev_norm(u, alpha + 0.5, "H") + sobolev_norm(u, alpha, "V")) / fn
 
 
-def dual_norm_estar(f: SpaceTimeField, theta_weight: float = 1.0) -> float:
+def dual_norm_estar(f: SpaceTimeField) -> float:
     """Discrete dual norm ||f||_{E*} via the exact mode-diagonal Riesz solve.
 
     f is given in H-representer form (the functional w -> int (f | w)_H dt).
@@ -130,7 +130,7 @@ def dual_norm_estar(f: SpaceTimeField, theta_weight: float = 1.0) -> float:
     fhat = np.fft.fft(f.values, axis=0) / n
     rhs = fem.mass_apply(mesh, fhat).T
     factors = fem.tridiag_factor(
-        fem.shifted_bands(mesh, theta_weight + tau, np.ones(mesh.n_cells)))
+        fem.shifted_bands(mesh, 1.0 + tau, np.ones(mesh.n_cells)))
     z = fem.batched_tridiag_solve(factors, rhs)
     val = float(np.sum(np.conj(rhs) * z).real * f.time_grid.period)
     return float(np.sqrt(max(val, 0.0)))

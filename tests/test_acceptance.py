@@ -90,8 +90,7 @@ def test_criterion_02_hidden_coercivity():
             v = SpaceTimeField(grid, MESH32,
                                rng.standard_normal(shape)
                                + 1j * rng.standard_normal(shape))
-            form = coercive_form(v, v, A, FormParameters(
-                theta=theta, delta=delta, lam=A.lam, Lam=A.Lam))
+            form = coercive_form(v, v, A, FormParameters(theta=theta, delta=delta))
             en2 = energy_norm(v) ** 2
             worst = min(worst, (form.real - lower * en2) / en2)
             n_fields += 1
