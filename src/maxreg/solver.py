@@ -5,8 +5,9 @@ autonomous eigen-expansion oracle.
 All right-hand sides and solutions are H-representer fields: the equation
 reads  u' + theta*u + Minv*K(t)*u = f  per time slice, with the time
 derivative realized by the exact Fourier symbol i*tau.  The solve is
-matrix-free GMRES, preconditioned by the mode-diagonal solve with the
-time-averaged coefficient.
+matrix-free GMRES on the time spectrum of the Galerkin system (M times the
+equation), preconditioned by the mode-diagonal solve with the time-averaged
+coefficient.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import scipy.sparse.linalg as spla
 from . import fem, norms
 from .coefficients import CoefficientField, extend_full
 from .norms import SpaceTimeField, zero_field
-from .timefourier import GridError, fourier_multiplier
+from .timefourier import GridError
 
 
 class SolverError(RuntimeError):
@@ -109,8 +110,12 @@ def solve_line(
 ) -> tuple[SpaceTimeField, SolveDiagnostics]:
     """Unique solve of (theta + L)u = f on the periodized line.
 
-    Matrix-free GMRES with the time-averaged constant-coefficient solve as a
-    mode-diagonal preconditioner.  Fails loudly on non-convergence."""
+    Matrix-free GMRES on the time spectrum x = fft(u, norm="ortho") of
+    M(theta + L)u = Mf:  z_k M x_k + F K(A(t)) F^{-1} x = fft(Mf), with
+    z_k = i*tau_k + theta, preconditioned by the mode-diagonal solve
+    (z_k M + K(mean A))^{-1}.  The transform is unitary, so GMRES sees the
+    time-domain system's Krylov spaces.  Fails loudly when the L2(H)
+    relative residual of (theta + L)u = f exceeds tol."""
     _check_setup(f, A)
     theta = complex(theta)
     if theta.real <= 0:
@@ -119,50 +124,44 @@ def solve_line(
         raise SolverError("right-hand side contains non-finite samples")
     mesh, grid = f.mesh, f.time_grid
     nt, nd = grid.n_points, mesh.n_dofs
-    # the GMRES iterate is held time-contiguous as (nd, nt): the (nt, nd)
-    # views handed to the fem kernels are Fortran-ordered, and so is a_cells
-    a_cells = np.asfortranarray(A.scalar_cells())
+    fnorm = norms.l2h_norm(f)
+    if fnorm == 0.0:
+        return zero_field(grid, mesh), SolveDiagnostics(residual=0.0, iterations=0)
+    # spectra are held time-contiguous as (nd, nt): their (nt, nd) views
+    # handed to the fem kernels are Fortran-ordered, and so is a_cells
+    a = A.scalar_cells()
+    a_cells = np.asfortranarray(a if a.imag.any() else a.real)
     z = 1j * grid.frequencies + theta
-    # mode-diagonal preconditioner: (i*tau + theta) M + K(mean A) per mode,
-    # factored once
     factors = fem.tridiag_factor(fem.shifted_bands(mesh, z, a_cells.mean(axis=0).real))
 
     def L_mv(x):
-        u = x.reshape(nd, nt).T
-        du = fourier_multiplier(u, z)
-        Ku = fem.stiffness_apply(mesh, a_cells, u)
-        return (du + fem.mass_solve(mesh, Ku)).T.ravel()
+        xh = x.reshape(nd, nt)
+        Ku = fem.stiffness_apply(mesh, a_cells, np.fft.ifft(xh, norm="ortho").T)
+        return (z * fem.mass_apply(mesh, xh.T).T + np.fft.fft(Ku.T, norm="ortho")).ravel()
 
     def P_mv(x):
-        r = x.reshape(nd, nt)
-        rhat = np.fft.fft(fem.mass_apply(mesh, r.T).T, axis=-1)
-        return np.fft.ifft(fem.batched_tridiag_solve(factors, rhat), axis=-1).ravel()
+        return fem.batched_tridiag_solve(factors, x.reshape(nd, nt)).ravel()
 
     N = nt * nd
     Lop = spla.LinearOperator((N, N), matvec=L_mv, dtype=complex)
     Pop = spla.LinearOperator((N, N), matvec=P_mv, dtype=complex)
-
-    iters = [0]
-
-    def cb(_):
-        iters[0] += 1
-
-    fnorm = norms.l2h_norm(f)
-    if fnorm == 0.0:
-        return zero_field(grid, mesh), SolveDiagnostics(residual=0.0, iterations=0)
-    x, info = spla.gmres(Lop, f.values.T.ravel(), M=Pop, rtol=min(tol * 1e-2, 1e-10),
-                         atol=0.0, maxiter=maxiter, callback=cb, callback_type="pr_norm")
-    u = SpaceTimeField(grid, mesh, np.ascontiguousarray(x.reshape(nd, nt).T))
-    res_field = SpaceTimeField(grid, mesh, L_mv(x).reshape(nd, nt).T - f.values)
-    rel_res = norms.l2h_norm(res_field) / fnorm
-    diag_out = SolveDiagnostics(residual=rel_res, iterations=iters[0])
+    history = []
+    b = np.fft.fft(fem.mass_apply(mesh, f.values).T, norm="ortho").ravel()
+    x, info = spla.gmres(Lop, b, M=Pop, rtol=min(tol * 1e-2, 1e-10), atol=0.0,
+                         maxiter=maxiter, callback=history.append, callback_type="pr_norm")
+    u = np.fft.ifft(x.reshape(nd, nt), norm="ortho").T
+    # L_mv(x) - b is the spectrum of M(Lu - f); by Parseval the squared
+    # L2(H) norm of Lu - f is dt times the sum of (M^{-1} r | r) over modes
+    r = (L_mv(x) - b).reshape(nd, nt).T
+    rel_res = float(np.sqrt(max(grid.dt * np.vdot(r, fem.mass_solve(mesh, r)).real, 0.0))) / fnorm
+    diag_out = SolveDiagnostics(residual=rel_res, iterations=len(history))
     if info != 0 or rel_res > tol:
         raise SolverError(
             f"line solve failed: info={info}, relative residual {rel_res:.3e} > {tol:.1e} "
-            f"after {iters[0]} iterations",
+            f"after {len(history)} iterations",
             diag_out,
         )
-    return u, diag_out
+    return SpaceTimeField(grid, mesh, np.ascontiguousarray(u)), diag_out
 
 
 @dataclass
@@ -197,7 +196,7 @@ def cauchy_solve(
     A_full = extend_full(A, window_factor)
     grid = A_full.time_grid
     mesh = A.mesh
-    # time-contiguous, the layout solve_line's GMRES iterate takes without a copy
+    # time-contiguous, so that solve_line transforms it along contiguous rows
     g = np.zeros((grid.n_points, mesh.n_dofs), dtype=complex, order="F")
     t_rel = A.time_grid.points  # in [0, T)
     g[n : 2 * n] = np.exp(-t_rel)[:, None] * f.values

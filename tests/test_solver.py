@@ -1,13 +1,17 @@
 """Hidden-coercivity space-time solver: line solves, the Cauchy pipeline,
 and the time-stepping cross-checks."""
+import collections
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxreg.fem as fem
 import maxreg.norms as norms
 import maxreg.solver as solver
-from maxreg.coefficients import generate_family, mollify
+from maxreg.coefficients import CoefficientField, generate_family, mollify
 from maxreg.fem import SpaceMesh, laplace_eigenpairs
 from maxreg.norms import SpaceTimeField, dual_norm_estar, energy_norm, l2h_norm, zero_field
 from maxreg.solver import (
@@ -25,6 +29,28 @@ from maxreg.timefourier import TimeGrid
 
 MESH = SpaceMesh(0.0, 1.0, 64)
 WGRID = TimeGrid(-1.0, 3.0, 512)
+
+
+def spy(monkeypatch, owner, name, record):
+    """Replace owner.name by a wrapper that calls record(*args) first."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        record(*args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def dense_direct_solve(A, f, theta):
+    """(theta + L)^{-1} f, with (theta + L) assembled column by column from
+    apply_L on unit fields."""
+    grid, mesh = f.time_grid, f.mesh
+    n = grid.n_points * mesh.n_dofs
+    unit = np.eye(n, dtype=complex).reshape(n, grid.n_points, mesh.n_dofs)
+    dense = np.column_stack([apply_L(SpaceTimeField(grid, mesh, e), A, theta).values.ravel()
+                             for e in unit])
+    return np.linalg.solve(dense, f.values.ravel()).reshape(f.values.shape)
 
 
 def sine_forcing(grid, mesh=MESH, mode=1):
@@ -154,6 +180,66 @@ class TestSolveLine:
         with pytest.raises(SolverError) as exc:
             solve_line(A, f, theta=1.0, tol=1e-9, maxiter=1)
         assert "diagnostics" in dir(exc.value) or exc.value.diagnostics is not None
+
+    def test_zero_forcing_factors_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("preconditioner factored for a zero forcing")
+        monkeypatch.setattr(fem, "tridiag_factor", forbidden)
+        A = generate_family("holder", WGRID, MESH, seed=3)
+        u, diag = solve_line(A, zero_field(WGRID, MESH))
+        assert not u.values.any()
+        assert diag.iterations == 0
+
+    def test_real_coefficient_reaches_stiffness_kernel_real(self, monkeypatch):
+        dtypes = set()
+        spy(monkeypatch, fem, "stiffness_apply", lambda mesh, a, u: dtypes.add(a.dtype))
+        A = generate_family("holder", WGRID, MESH, seed=3)
+        solve_line(A, sine_forcing(WGRID))
+        assert dtypes == {np.dtype(np.float64)}
+
+    def test_complex_coefficient_matches_dense_direct_solve(self, monkeypatch):
+        grid, mesh = TimeGrid(-1.0, 3.0, 16), SpaceMesh(0.0, 1.0, 6)
+        holder = generate_family("holder", grid, mesh, seed=2)
+        A = CoefficientField(grid, mesh, (1.0 + 0.3j) * holder.scalar_cells(), T=holder.T)
+        rng = np.random.default_rng(11)
+        shape = (grid.n_points, mesh.n_dofs)
+        f = SpaceTimeField(grid, mesh, rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+        dtypes = set()
+        spy(monkeypatch, fem, "stiffness_apply", lambda mesh, a, u: dtypes.add(a.dtype))
+        u, _ = solve_line(A, f, theta=1.0)
+        ref = dense_direct_solve(A, f, 1.0)
+        assert dtypes == {np.dtype(np.complex128)}
+        assert np.linalg.norm(u.values - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_iteration_makes_one_fft_pair_and_no_mass_solve(self, monkeypatch):
+        # GMRES runs on the time spectrum: each matvec is one ifft, one
+        # stiffness action and one fft, and a preconditioner application is
+        # the factored mode solve alone
+        calls = collections.Counter()
+        for name in ("fft", "ifft"):
+            spy(monkeypatch, np.fft, name, lambda *a: calls.update(["fft"]))
+        for name in ("mass_apply", "mass_solve", "stiffness_apply"):
+            spy(monkeypatch, fem, name, lambda *a, name=name: calls.update([name]))
+        precond = []
+        gmres = spla.gmres
+
+        def counting_gmres(A, b, M=None, **kwargs):
+            def p_mv(x):
+                before = calls.copy()
+                out = M.matvec(x)
+                precond.append(calls - before)
+                return out
+            return gmres(A, b, M=spla.LinearOperator(M.shape, matvec=p_mv, dtype=M.dtype),
+                         **kwargs)
+
+        monkeypatch.setattr(solver.spla, "gmres", counting_gmres)
+        A = generate_family("step", WGRID, MESH, seed=3)
+        solve_line(A, sine_forcing(WGRID))
+        assert precond and not any(precond)
+        assert calls["stiffness_apply"] > 0
+        assert 0 <= calls["fft"] - 2 * calls["stiffness_apply"] <= 3
+        assert calls["mass_solve"] <= 1
 
 
 class TestCauchySolve:
