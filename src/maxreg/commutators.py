@@ -58,9 +58,10 @@ def commutator_norm_estimate(a: TimeSignal, alpha: FracOrder | float) -> Commuta
     value.
 
     The ratio against ||D^alpha a||_BMO is recorded when the multiplier is
-    not constant.  Raises SolverError when ARPACK does not converge.
+    not constant.  Raises ValueError for an order outside (0, 1], before
+    any ARPACK work, and SolverError when ARPACK does not converge.
     """
-    alpha_v = alpha.alpha if isinstance(alpha, FracOrder) else float(alpha)
+    alpha_v = alpha.alpha if isinstance(alpha, FracOrder) else FracOrder(float(alpha)).alpha
     if a.values.ndim != 1:
         raise ValueError("commutator probe needs a scalar multiplier signal")
     n = a.n

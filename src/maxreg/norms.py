@@ -6,6 +6,10 @@ Norms of fields living on [0, T) (Cauchy-problem solutions) are computed
 after even whole-sample reflection onto a window of length 2T; reflection
 (rather than zero-extension) is used because it does not inflate H^{1/2}
 seminorms at the endpoints.
+
+Every space-time quadrature is a Parseval sum, dt * sum_k over the modes of
+the unitary time spectrum `spectrum(u)`, in which a time symbol m(tau)
+weights mode k by m(tau_k).
 """
 from __future__ import annotations
 
@@ -15,8 +19,7 @@ import numpy as np
 
 from . import fem
 from .fem import SpaceMesh
-from .timefourier import (GridError, TimeGrid, fourier_multiplier, frac_symbol,
-                          hilbert_symbol, twist_symbol)
+from .timefourier import GridError, TimeGrid, fourier_multiplier, frac_symbol
 
 
 @dataclass
@@ -49,25 +52,20 @@ def d_alpha(u: SpaceTimeField, alpha: float) -> SpaceTimeField:
     return field_symbol(u, frac_symbol(u.time_grid.frequencies, alpha))
 
 
-def hilbert(u: SpaceTimeField) -> SpaceTimeField:
-    return field_symbol(u, hilbert_symbol(u.time_grid.frequencies))
-
-
-def twist(u: SpaceTimeField, delta: float) -> SpaceTimeField:
-    return field_symbol(u, twist_symbol(u.time_grid.frequencies, delta))
-
-
 def time_derivative(u: SpaceTimeField) -> SpaceTimeField:
     return field_symbol(u, 1j * u.time_grid.frequencies)
 
 
-def l2h_inner(u: SpaceTimeField, v: SpaceTimeField) -> complex:
-    """L2(time; L2(Omega)) inner product, conjugate-linear in v."""
-    return complex(u.time_grid.dt * np.sum(fem.h_inner(u.mesh, u.values, v.values)))
+def spectrum(u: SpaceTimeField) -> np.ndarray:
+    """Unitary time spectrum fft(u, axis=time, norm="ortho"), (nt, ndof): by
+    Parseval, dt * sum_k (x_k | y_k)_H over the spectra x, y of fields u, v
+    is their L2(time; L2(Omega)) inner product."""
+    return np.fft.fft(u.values, axis=0, norm="ortho")
 
 
 def l2h_norm(u: SpaceTimeField) -> float:
-    return float(np.sqrt(max(l2h_inner(u, u).real, 0.0)))
+    sq = u.time_grid.dt * np.sum(fem.h_inner(u.mesh, u.values, u.values)).real
+    return float(np.sqrt(max(sq, 0.0)))
 
 
 def l2v_grad_norm(u: SpaceTimeField) -> float:
@@ -76,9 +74,12 @@ def l2v_grad_norm(u: SpaceTimeField) -> float:
 
 
 def energy_norm(u: SpaceTimeField) -> float:
-    """Energy norm: (||u||^2 + ||D^{1/2} u||^2 + ||grad u||^2)^{1/2}."""
-    half = d_alpha(u, 0.5)
-    return float(np.sqrt(l2h_norm(u) ** 2 + l2h_norm(half) ** 2 + l2v_grad_norm(u) ** 2))
+    """Energy norm (||u||^2 + ||D^{1/2} u||^2 + ||grad u||^2)^{1/2}, on the
+    spectrum x of u: dt * sum_k (1 + |tau_k|) (M x_k | x_k) + ||grad x_k||^2."""
+    x = spectrum(u)
+    weights = 1.0 + np.abs(u.time_grid.frequencies)
+    sq = np.sum(weights * fem.h_inner(u.mesh, x, x).real + fem.grad_sq(u.mesh, x))
+    return float(np.sqrt(max(u.time_grid.dt * sq, 0.0)))
 
 
 def _reflect(u: SpaceTimeField) -> SpaceTimeField:
@@ -92,21 +93,19 @@ def _reflect(u: SpaceTimeField) -> SpaceTimeField:
 
 def sobolev_norm(u: SpaceTimeField, s: float, target: str = "H") -> float:
     """H^s(0, T; H) or H^s(0, T; V) norm via the symbol (1 + tau^2)^(s/2)
-    on the even reflection of u.  s in (0, 1]; s = 0 gives the plain L2 norm.
+    on the even reflection of u.  s in [0, 1]; s = 0 gives the plain L2 norm.
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"Sobolev order must lie in [0, 1], got {s}")
     if target not in ("H", "V"):
         raise ValueError("target must be 'H' or 'V'")
     r = _reflect(u)
-    tau = r.time_grid.frequencies
-    uhat = np.fft.fft(r.values, axis=0) / r.time_grid.n_points
-    weights = (1.0 + tau**2) ** s
-    mass_sq = fem.h_inner(r.mesh, uhat, uhat).real  # ||uhat_k||_{L2(Omega)}^2
-    total = float(np.sum(weights * mass_sq) * r.time_grid.period)
+    x = spectrum(r)
+    weights = (1.0 + r.time_grid.frequencies**2) ** s
+    sq = fem.h_inner(r.mesh, x, x).real
     if target == "V":
-        total += float(np.sum(weights * fem.grad_sq(r.mesh, uhat).real) * r.time_grid.period)
-    return float(np.sqrt(0.5 * total))  # reflection doubled the mass
+        sq = sq + fem.grad_sq(r.mesh, x)
+    return float(np.sqrt(0.5 * r.time_grid.dt * np.sum(weights * sq)))  # reflection doubled the mass
 
 
 def maxreg_ratio(u: SpaceTimeField, f: SpaceTimeField, alpha: float = 0.5) -> float:
@@ -121,16 +120,14 @@ def dual_norm_estar(f: SpaceTimeField) -> float:
     """Discrete dual norm ||f||_{E*} via the exact mode-diagonal Riesz solve.
 
     f is given in H-representer form (the functional w -> int (f | w)_H dt).
-    Per mode: ((1 + |tau_k|) M + K_1) z_k = M fhat_k and
-    ||f||_{E*}^2 = period * sum_k Re (M fhat_k | z_k).
+    Per mode of the spectrum x of f: ((1 + |tau_k|) M + K_1) z_k = M x_k and
+    ||f||_{E*}^2 = dt * sum_k Re (M x_k | z_k).
     """
     mesh = f.mesh
-    n = f.time_grid.n_points
     tau = np.abs(f.time_grid.frequencies)
-    fhat = np.fft.fft(f.values, axis=0) / n
-    rhs = fem.mass_apply(mesh, fhat).T
+    rhs = fem.mass_apply(mesh, spectrum(f)).T
     factors = fem.tridiag_factor(
         fem.shifted_bands(mesh, 1.0 + tau, np.ones(mesh.n_cells)))
     z = fem.batched_tridiag_solve(factors, rhs)
-    val = float(np.sum(np.conj(rhs) * z).real * f.time_grid.period)
+    val = float(f.time_grid.dt * np.sum(np.conj(rhs) * z).real)
     return float(np.sqrt(max(val, 0.0)))

@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 from . import fem, norms
 from .coefficients import CoefficientField, extend_full
 from .norms import SpaceTimeField, zero_field
-from .timefourier import GridError
+from .timefourier import GridError, twist_symbol
 
 
 class SolverError(RuntimeError):
@@ -80,25 +80,24 @@ def coercive_form(
 ) -> complex:
     """The twisted sesquilinear form
 
-      e(v, w) = int -(D^{1/2} v | D^{1/2} H_t (1+delta H_t) w)
-                 + <(theta + A(t)) v, (1+delta H_t) w> dt,
+      e(v, w) = int ((d/dt + theta) v | (1 + delta H_t) w)
+                 + (A(t) grad v | grad (1 + delta H_t) w) dt.
 
-    evaluated by symbol calculus plus per-slice quadrature."""
+    D^{1/2} H_t D^{1/2} has the symbol i*tau, so with x = spectrum(v) and
+    y = (1 + delta*i*sgn(tau)) spectrum(w) the time and theta terms are
+    dt * sum_k (i*tau_k + theta) (M x_k | y_k).  The stiffness term is a
+    per-slice quadrature on (1 + delta H_t) w = ifft(y)."""
     if not v.compatible(w):
         raise GridError("form arguments live on different grids")
     _check_setup(v, A)
-    dt = v.time_grid.dt
-    mesh = v.mesh
-    wt = norms.twist(w, params.delta)
-    dv = norms.d_alpha(v, 0.5)
-    dHwt = norms.d_alpha(norms.hilbert(wt), 0.5)
-    term_time = -dt * np.sum(fem.h_inner(mesh, dv.values, dHwt.values))
-    term_theta = complex(params.theta) * dt * np.sum(fem.h_inner(mesh, v.values, wt.values))
+    mesh, tau = v.mesh, v.time_grid.frequencies
+    x = norms.spectrum(v)
+    y = twist_symbol(tau, params.delta)[:, None] * norms.spectrum(w)
+    term_time = np.sum((1j * tau + complex(params.theta)) * fem.h_inner(mesh, x, y))
     gv = fem.gradient(mesh, v.values)
-    gw = fem.gradient(mesh, wt.values)
-    a_cells = A.scalar_cells()
-    term_stiff = dt * mesh.h * np.sum(a_cells * gv * np.conj(gw))
-    return complex(term_time + term_theta + term_stiff)
+    gw = fem.gradient(mesh, np.fft.ifft(y, axis=0, norm="ortho"))
+    term_stiff = mesh.h * np.sum(A.scalar_cells() * gv * np.conj(gw))
+    return complex(v.time_grid.dt * (term_time + term_stiff))
 
 
 def solve_line(

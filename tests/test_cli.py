@@ -140,6 +140,17 @@ class TestValidation:
         assert code == EXIT_VALIDATION
         assert "mesh" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["-0.5", "0", "1.5"])
+    def test_commutator_order_out_of_range_exits_2_before_arpack(
+            self, tmp_path, capsys, monkeypatch, alpha):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("svds ran for an invalid order")
+        monkeypatch.setattr(commutators, "svds", forbidden)
+        code = run_cli("commutator", "sqrt-product",
+                       "--set", f"analysis.alphas=[{alpha}]", outdir=tmp_path)
+        assert code == EXIT_VALIDATION
+        assert "fractional order" in capsys.readouterr().err.strip().splitlines()[-1]
+
     def test_bad_coefficient_kind(self, tmp_path):
         code = run_cli("solve", "autonomous-dirichlet",
                        "--set", 'coefficient.kind="fractal"',

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+import maxreg.commutators as commutators
 from maxreg.bmo import refinement_verdict
 from maxreg.coefficients import generate_family, mollify
 from maxreg.commutators import (
@@ -106,6 +107,14 @@ class TestNormEstimate:
         assert probe.degenerate
         assert probe.estimate == 0.0
         assert probe.ratio is None
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
+    def test_rejects_order_out_of_range_before_arpack(self, monkeypatch, alpha):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("svds ran for an invalid order")
+        monkeypatch.setattr(commutators, "svds", forbidden)
+        with pytest.raises(ValueError, match="fractional order"):
+            commutator_norm_estimate(multiplier(), alpha)
 
     @pytest.mark.parametrize("n", [256, 512])
     @pytest.mark.parametrize("kind, kw", [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxreg.coefficients import generate_family
-from maxreg.fem import SpaceMesh, grad_sq, h_inner, laplace_eigenpairs
+from maxreg.fem import SpaceMesh, grad_sq, h_inner, laplace_eigenpairs, mass_apply
 from maxreg.norms import (
     SpaceTimeField,
     d_alpha,
@@ -19,10 +19,14 @@ from maxreg.norms import (
     time_derivative,
     zero_field,
 )
-from maxreg.timefourier import TimeGrid
+from maxreg.timefourier import TimeGrid, fourier_multiplier, frac_symbol
 
 MESH = SpaceMesh(0.0, 1.0, 32)
 GRID = TimeGrid(-1.0, 3.0, 128)
+# grids of the Parseval property tests, up to 256 time points; each sum runs
+# over every mode, the Nyquist mode included
+PARSEVAL_GRIDS = [(TimeGrid(-1.0, 3.0, 128), SpaceMesh(0.0, 1.0, 16)),
+                  (TimeGrid(-1.0, 3.0, 256), SpaceMesh(0.0, 1.0, 32))]
 
 
 def random_field(grid=GRID, mesh=MESH, seed=0):
@@ -37,6 +41,62 @@ def tensor_mode(grid=GRID, mesh=MESH, k_time=3, k_space=0):
     tau0 = 2 * np.pi * k_time / grid.period
     vals = np.exp(1j * tau0 * grid.points)[:, None] * Phi[:, k_space][None, :]
     return SpaceTimeField(grid, mesh, vals), tau0, mu[k_space], Phi[:, k_space]
+
+
+def energy_norm_reference(u):
+    """(||u||^2 + ||D^{1/2} u||^2 + ||grad u||^2)^{1/2}, each in time."""
+    half = fourier_multiplier(u.values, frac_symbol(u.time_grid.frequencies, 0.5))
+    sq = (h_inner(u.mesh, u.values, u.values).real + h_inner(u.mesh, half, half).real
+          + grad_sq(u.mesh, u.values))
+    return np.sqrt(u.time_grid.dt * np.sum(sq))
+
+
+def sobolev_norm_reference(u, s, target):
+    """|| (1 + tau^2)^{s/2} r || in L2(H) or L2(V) for the even reflection r
+    of u, in time, with the doubled mass halved."""
+    refl = np.concatenate([u.values, u.values[::-1]], axis=0)
+    tau = 2 * np.pi * np.fft.fftfreq(refl.shape[0], d=u.time_grid.dt)
+    m = fourier_multiplier(refl, (1.0 + tau**2) ** (s / 2))
+    sq = h_inner(u.mesh, m, m).real
+    if target == "V":
+        sq = sq + grad_sq(u.mesh, m)
+    return np.sqrt(0.5 * u.time_grid.dt * np.sum(sq))
+
+
+def dual_norm_reference(f):
+    """(int (f | z)_H dt)^{1/2} for the Riesz representer z of f, solved in
+    the M-orthonormal eigenbasis of K_1 by one time multiplier per mode."""
+    mu, Phi = laplace_eigenpairs(f.mesh, np.ones(f.mesh.n_cells))
+    tau = np.abs(f.time_grid.frequencies)
+    c = mass_apply(f.mesh, f.values) @ Phi  # (Phi_j | f)_H in time
+    zc = np.column_stack([fourier_multiplier(c[:, j], 1.0 / (1.0 + tau + mu[j]))
+                          for j in range(len(mu))])
+    return np.sqrt(f.time_grid.dt * np.sum(c * np.conj(zc)).real)
+
+
+class TestParsevalMatchesTimeDomain:
+    """Each norm taken on the unitary time spectrum equals its time-domain
+    formula."""
+
+    @given(st.sampled_from(PARSEVAL_GRIDS), st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_energy_norm(self, grid_mesh, seed):
+        u = random_field(*grid_mesh, seed=seed)
+        assert energy_norm(u) == pytest.approx(energy_norm_reference(u), rel=1e-12)
+
+    @given(st.sampled_from(PARSEVAL_GRIDS), st.integers(0, 2**31 - 1),
+           st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.sampled_from(["H", "V"]))
+    @settings(max_examples=20, deadline=None)
+    def test_sobolev_norm(self, grid_mesh, seed, s, target):
+        u = random_field(*grid_mesh, seed=seed)
+        assert sobolev_norm(u, s, target) == pytest.approx(
+            sobolev_norm_reference(u, s, target), rel=1e-12)
+
+    @given(st.sampled_from(PARSEVAL_GRIDS), st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_dual_norm_estar(self, grid_mesh, seed):
+        f = random_field(*grid_mesh, seed=seed)
+        assert dual_norm_estar(f) == pytest.approx(dual_norm_reference(f), rel=1e-12)
 
 
 class TestEnergyNorm:

@@ -25,7 +25,8 @@ from maxreg.solver import (
     solve_line,
     timestep_reference,
 )
-from maxreg.timefourier import TimeGrid
+from maxreg.timefourier import (TimeGrid, fourier_multiplier, frac_symbol, hilbert_symbol,
+                                twist_symbol)
 
 MESH = SpaceMesh(0.0, 1.0, 64)
 WGRID = TimeGrid(-1.0, 3.0, 512)
@@ -57,6 +58,22 @@ def sine_forcing(grid, mesh=MESH, mode=1):
     prof = np.sin(mode * np.pi * mesh.nodes[mesh.free_mask])
     vals = np.broadcast_to(prof, (grid.n_points, mesh.n_dofs)).astype(complex)
     return SpaceTimeField(grid, mesh, vals.copy())
+
+
+def coercive_form_reference(v, w, A, params):
+    """e(v, w) by four time-domain multipliers and per-slice quadrature:
+    int -(D^{1/2} v | D^{1/2} H_t w') + ((theta + A(t)) v, w') dt with
+    w' = (1 + delta H_t) w."""
+    mesh, dt, tau = v.mesh, v.time_grid.dt, v.time_grid.frequencies
+    half = frac_symbol(tau, 0.5)
+    wt = fourier_multiplier(w.values, twist_symbol(tau, params.delta))
+    dv = fourier_multiplier(v.values, half)
+    dHwt = fourier_multiplier(fourier_multiplier(wt, hilbert_symbol(tau)), half)
+    term_time = -dt * np.sum(fem.h_inner(mesh, dv, dHwt))
+    term_theta = params.theta * dt * np.sum(fem.h_inner(mesh, v.values, wt))
+    gv, gw = fem.gradient(mesh, v.values), fem.gradient(mesh, wt)
+    term_stiff = dt * mesh.h * np.sum(A.scalar_cells() * gv * np.conj(gw))
+    return term_time + term_theta + term_stiff
 
 
 class TestChooseDelta:
@@ -107,6 +124,37 @@ class TestCoercivity:
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
             FormParameters(theta=-1.0, delta=0.5)
+
+    @given(st.sampled_from([(TimeGrid(-1.0, 3.0, 128), SpaceMesh(0.0, 1.0, 16)),
+                            (TimeGrid(-1.0, 3.0, 256), SpaceMesh(0.0, 1.0, 32))]),
+           st.sampled_from([1.0, 1.0 + 10.0j]), st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_parseval_form_matches_time_domain(self, grid_mesh, theta, seed):
+        grid, mesh = grid_mesh
+        A = generate_family("sqrt_product", grid, mesh, amp=0.5)
+        params = FormParameters(theta=complex(theta), delta=choose_delta(A.lam, A.Lam, theta))
+        rng = np.random.default_rng(seed)
+        shape = (grid.n_points, mesh.n_dofs)
+        v, w = (SpaceTimeField(grid, mesh, rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape)) for _ in range(2))
+        ref = coercive_form_reference(v, w, A, params)
+        assert abs(coercive_form(v, w, A, params) - ref) <= 1e-12 * abs(ref)
+
+    def test_form_and_energy_norm_fft_counts(self, monkeypatch):
+        # both are Parseval sums on the unitary time spectrum: the form takes
+        # the spectra of its two arguments and one inverse FFT for the
+        # stiffness quadrature; the energy norm takes one spectrum
+        A = generate_family("sqrt_product", WGRID, MESH, amp=0.5)
+        params = FormParameters(theta=1.0 + 10.0j, delta=choose_delta(A.lam, A.Lam, 1.0 + 10.0j))
+        v = sine_forcing(WGRID)
+        calls = collections.Counter()
+        for name in ("fft", "ifft"):
+            spy(monkeypatch, np.fft, name, lambda *a, name=name: calls.update([name]))
+        coercive_form(v, v, A, params)
+        assert calls == {"fft": 2, "ifft": 1}
+        calls.clear()
+        energy_norm(v)
+        assert calls == {"fft": 1}
 
 
 class TestSolveLine:

@@ -17,9 +17,7 @@ from maxreg.timefourier import (
     hilbert_symbol,
     hilbert_transform,
     load_signal,
-    mean_value,
     save_signal,
-    signal_from_samples,
     time_inner_product,
     time_norm,
     twist_inverse,
@@ -226,25 +224,6 @@ class TestInnerProduct:
         v = random_signal(TimeGrid(0.0, 2.0, 64))
         with pytest.raises(GridError):
             time_inner_product(u, v)
-
-
-class TestResampling:
-    def test_trig_interpolation_exact_on_modes(self):
-        g = TimeGrid(0.0, 1.0, 64)
-        u = TimeSignal(g, np.exp(2j * np.pi * 5 * g.points))
-        fine = u.resampled(256)
-        expected = np.exp(2j * np.pi * 5 * fine.grid.points)
-        assert np.abs(fine.values - expected).max() <= 1e-12
-
-    def test_non_power_of_two_samples_resampled(self):
-        t = np.linspace(0.0, 1.0, 100, endpoint=False)
-        sig = signal_from_samples(t, np.sin(2 * np.pi * t))
-        assert sig.grid.n_points == 128
-
-    def test_mean_preserved(self):
-        g = TimeGrid(0.0, 1.0, 64)
-        u = random_signal(g, 3)
-        assert abs(mean_value(u.resampled(128)) - mean_value(u)) <= 1e-12
 
 
 class TestSerialization:
