@@ -160,7 +160,27 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
     if not isinstance(seminorms, list) or any(s not in SEMINORMS for s in seminorms):
         raise ConfigError(f"analysis.seminorms must name only {', '.join(SEMINORMS)}; "
                           f"got {seminorms!r}")
+    for key in ("solver.tolerance", "analysis.divergence_threshold"):
+        section, leaf = key.split(".")
+        value = cfg[section][leaf]
+        if not (_is_real(value) and 0.0 < value < float("inf")):
+            raise ConfigError(f"{key} must be a positive finite number, got {value!r}")
     return cfg
+
+
+def _is_real(value) -> bool:
+    """A JSON number: int or float, but not bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_ratio_orders(cfg: dict) -> None:
+    """maxreg_ratio measures u in H^(alpha + 1/2), so solve needs alpha in (0, 1/2]."""
+    alphas = cfg["analysis"]["alphas"]
+    if not isinstance(alphas, list):
+        raise ConfigError(f"analysis.alphas must be a list, got {alphas!r}")
+    for alpha in alphas:
+        if not (_is_real(alpha) and 0.0 < alpha <= 0.5):
+            raise ConfigError(f"analysis.alphas: solve needs orders in (0, 1/2], got {alpha!r}")
 
 
 def _setup(cfg: dict) -> tuple[TimeGrid, SpaceMesh, CoefficientField]:
@@ -312,6 +332,7 @@ def _extension_rows(A: CoefficientField, rows: list[SeminormRow],
 
 
 def run_solve(cfg: dict) -> RegularityReport:
+    _check_ratio_orders(cfg)
     grid, mesh, A = _setup(cfg)
     f = _build_forcing(cfg, grid, mesh)
     res = cauchy_solve(A, f, window_factor=cfg["time"]["window_factor"],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxreg.bmo as bmo
 from maxreg.bmo import (
     FamilyError,
     IntervalFamily,
@@ -478,6 +479,70 @@ class TestLagKernelMatchesDense:
         assert scale_invariant_half_sobolev(const(g), dyadic_family(g)).achieving_interval is None
         res = holder_constant(const(g), 0.5)
         assert res.achieving_interval == (g.points[0], g.points[0])
+
+
+@st.composite
+def long_scalar_signals(draw):
+    """Scalar signals longer than the autocorrelation cutoff, real or complex,
+    on power-of-two and 3n-style grids: random, steps (many ties), a square
+    root cusp, and a Lipschitz ramp on a large offset (cancellation)."""
+    n = draw(st.sampled_from([33, 48, 64, 96, 128, 256, 512, 1024, 2048]))
+    grid = TimeGrid(0.0, 1.0, n) if n & (n - 1) == 0 else UniformGrid(-1.0, 2.0, n)
+    t = grid.points
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "step", "cusp", "offset_lipschitz"]))
+    if kind == "random":
+        vals = rng.standard_normal(n) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    elif kind == "step":
+        vals = rng.integers(0, 3, n).astype(float)
+    elif kind == "cusp":
+        vals = np.sqrt(np.abs(t - t[draw(st.integers(0, n - 1))]))
+    else:
+        vals = 1e3 + draw(st.floats(0.5, 5.0)) * t
+    if draw(st.booleans()):
+        vals = vals + 1j * vals[::-1]
+    return TimeSignal(grid, np.asarray(vals, dtype=complex))
+
+
+class TestAutocorrelationPath:
+    """Scalar samples take lags >= _FFT_MIN_LAG from autocorrelation."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense(self, data):
+        f = data.draw(long_scalar_signals())
+        fam = data.draw(families(f.grid))
+        res = scale_invariant_half_sobolev(f, fam)
+        value, interval = dense_half_sobolev(f, fam)
+        assert close(res.value, value)
+        assert res.achieving_interval == interval
+
+    @pytest.mark.parametrize("c", [0.1, 0.7 + 0.3j])
+    def test_constant_is_exactly_zero(self, c):
+        g = TimeGrid(0.0, 1.0, 4096)
+        res = scale_invariant_half_sobolev(const(g, c), dyadic_family(g))
+        assert res.value == 0.0
+        assert res.achieving_interval is None
+
+    @pytest.mark.parametrize("shape", [(512,), (512, 2, 2)])
+    def test_lag_blocks_cover_small_lags_of_scalars_only(self, monkeypatch, shape):
+        asked = []
+
+        def spy(g, t, exponent, max_lag=None):
+            for lags, R in lag_blocks(g, t, exponent, max_lag):
+                asked.extend(lags.tolist())
+                yield lags, R
+
+        lag_blocks = bmo._lag_blocks
+        monkeypatch.setattr(bmo, "_lag_blocks", spy)
+        g = TimeGrid(0.0, 1.0, 512)
+        rng = np.random.default_rng(5)
+        f = TimeSignal(g, rng.standard_normal(shape).astype(complex))
+        scale_invariant_half_sobolev(f, dyadic_family(g))
+        if len(shape) == 1:
+            assert sorted(asked) == list(range(1, bmo._FFT_MIN_LAG))
+        else:
+            assert sorted(asked) == list(range(1, 512))
 
 
 class TestLagKernelMemory:

@@ -151,6 +151,49 @@ class TestValidation:
         assert code == EXIT_VALIDATION
         assert "fractional order" in capsys.readouterr().err.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize("item, named", [
+        ("solver.tolerance=-1", "solver.tolerance"),
+        ("solver.tolerance=0", "solver.tolerance"),
+        ('solver.tolerance="x"', "solver.tolerance"),
+        ("solver.tolerance=true", "solver.tolerance"),
+        ("solver.tolerance=Infinity", "solver.tolerance"),
+        ("solver.tolerance=NaN", "solver.tolerance"),
+        ('analysis.divergence_threshold="x"', "analysis.divergence_threshold"),
+        ("analysis.divergence_threshold=-1", "analysis.divergence_threshold"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_positive_finite_numbers_checked_at_load(
+            self, tmp_path, capsys, monkeypatch, command, item, named):
+        # unchecked, a negative tolerance runs GMRES to its iteration cap and
+        # a string one reaches GMRES as a TypeError
+        ran = []
+        monkeypatch.setattr(cli, "run_solve", ran.append)
+        monkeypatch.setattr(cli, "run_analyze", ran.append)
+        code = run_cli(command, "sqrt-product", "--set", item, outdir=tmp_path)
+        assert code == EXIT_VALIDATION
+        assert ran == []
+        assert named in capsys.readouterr().err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("item, named", [
+        ("analysis.alphas=[1.5]", "1.5"),
+        ("analysis.alphas=[0.5,0.75]", "0.75"),
+        ("analysis.alphas=[0]", "0"),
+        ("analysis.alphas=[-0.5]", "-0.5"),
+        ('analysis.alphas=["x"]', "'x'"),
+        ('analysis.alphas="x"', "'x'"),
+    ])
+    def test_solve_order_out_of_range_exits_2_before_solving(
+            self, tmp_path, capsys, monkeypatch, item, named):
+        # the report's ratio needs u in H^(alpha + 1/2): the error names the
+        # configured alpha, not alpha + 1/2, and no solve runs first
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cauchy_solve ran for an invalid order")
+        monkeypatch.setattr(cli, "cauchy_solve", forbidden)
+        code = run_cli("solve", "autonomous-dirichlet", "--set", item, outdir=tmp_path)
+        assert code == EXIT_VALIDATION
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "analysis.alphas" in last and named in last
+
     def test_bad_coefficient_kind(self, tmp_path):
         code = run_cli("solve", "autonomous-dirichlet",
                        "--set", 'coefficient.kind="fractal"',
@@ -377,6 +420,15 @@ class TestSweep:
         solo = load_report(str(tmp_path / "autonomous-dirichlet.report.json"))
         assert point["norms"] == solo.to_dict()["norms"]
         assert point["ratios"] == solo.to_dict()["ratios"]
+
+    def test_alpha_point_out_of_range_recorded_without_solving(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cauchy_solve ran for an invalid order")
+        monkeypatch.setattr(cli, "cauchy_solve", forbidden)
+        cfg = cli.load_config(cli.bundled_config_path("autonomous-dirichlet"))
+        point = cli.run_sweep(cfg, "alpha", ["1.5"], workers=2)["points"]["1.5"]
+        assert point["error_type"] == "ConfigError"
+        assert "analysis.alphas" in point["error"] and "1.5" in point["error"]
 
     def test_partial_failure_is_isolated(self, tmp_path):
         code = run_cli("sweep", "autonomous-dirichlet", "--axis", "family",
