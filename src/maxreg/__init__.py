@@ -30,8 +30,8 @@ from .solver import (CauchyResult, FormParameters, SolveDiagnostics,
                      SolverError, apply_L, autonomous_oracle, cauchy_solve,
                      choose_delta, coercive_form, solve_line,
                      timestep_reference)
-from .commutators import (CommutatorProbe, commutator_apply,
-                          commutator_norm_estimate, factorization_check)
+from .commutators import (CommutatorProbe, commutator_norm_estimate,
+                          factorization_check)
 from .report import (RegularityReport, SeminormRow, emit_plot_data,
                      emit_report, load_report)
 

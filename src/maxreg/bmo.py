@@ -424,6 +424,13 @@ def holder_constant(f: TimeSignal, a: FracOrder | float) -> SeminormValue:
     return SeminormValue(float(np.sqrt(best)), achieving_interval=iv)
 
 
+def check_dini_exponent(q: float) -> None:
+    """Raise ValueError unless q lies in [1, 2], the exponents the Dini
+    condition is stated for."""
+    if not (1.0 <= q <= 2.0):
+        raise ValueError(f"Dini exponent must lie in [1, 2], got {q}")
+
+
 def dini_integral(
     f: TimeSignal, q: float, horizon: float | None = None
 ) -> SeminormValue:
@@ -432,8 +439,7 @@ def dini_integral(
     The per-octave increments of the lag sum are stored in extra["octave_increments"]
     (finest lag octave first); they drive the divergence detector.
     """
-    if not (1.0 <= q <= 2.0):
-        raise ValueError(f"Dini exponent must lie in [1, 2], got {q}")
+    check_dini_exponent(q)
     n, dt = f.n, f.grid.dt
     if horizon is None:
         horizon = f.grid.period

@@ -1,14 +1,15 @@
 """Experiment runner: solve | analyze | extend | commutator | sweep.
 
-Each subcommand reads a JSON experiment config (see `DEFAULT_CONFIG` for the
-schema; unknown keys are errors, not warnings), runs the requested pipeline,
-and writes a self-describing report.  Exit codes: 0 success, 2 config or
-input validation failure, 3 solver non-convergence, 4 I/O failure.
+Each subcommand reads a JSON experiment config, runs the requested pipeline,
+and writes a self-describing report.  `DEFAULT_CONFIG` is the schema: an
+unknown key, or a value of another JSON type than its default's, is an error,
+not a warning.  Exit codes: 0 success, 2 config or input validation failure,
+3 solver non-convergence, 4 I/O failure.
 
 The default output directory is the current directory, overridable by the
 MAXREG_OUTPUT_DIR environment variable or the config's output.directory.
-Flags of the form `--set dotted.key=json_value` override individual config
-entries, so every ExperimentConfig field is reachable from the command line.
+Flags of the form `--set dotted.key=json_value` merge into the config, so
+every entry is reachable from the command line.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from .bmo import (
     bmo_seminorm,
+    check_dini_exponent,
     dini_integral,
     dini_verdict,
     dyadic_family,
@@ -48,7 +50,8 @@ from .fem import MeshError, SpaceMesh
 from .norms import SpaceTimeField, l2h_norm, l2v_grad_norm, maxreg_ratio, sobolev_norm
 from .report import RegularityReport, SeminormRow, emit_report
 from .solver import SolverError, autonomous_oracle, cauchy_solve
-from .timefourier import GridError, SignalError, TimeGrid, TimeSignal, frac_derivative
+from .timefourier import (FracOrder, GridError, SignalError, TimeGrid, TimeSignal,
+                          frac_derivative)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -110,77 +113,113 @@ DEFAULT_CONFIG = {
 }
 
 
+# Leaves whose default does not show every JSON type they take: each takes
+# the type of any one of its examples.
+_LEAF_EXAMPLES = {
+    "coefficient.t0": (None, 0.0),
+    "coefficient.file": (None, ""),
+    "coefficient.value": (0.0, [[0.0]]),    # a number or a d x d matrix
+    "analysis.resolutions": ([0],),
+    "output.directory": (None, ""),
+}
+_TYPE_NAMES = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
+               float: ("a number", "numbers"), str: ("a string", "strings"),
+               type(None): ("null", "nulls")}
+
+
 class ConfigError(ValueError):
     pass
 
 
-def _merge_checked(defaults: dict, given: dict, path: str = "") -> dict:
-    """Defaults overlaid with `given`; any key absent from defaults is an
-    error (no silent typo tolerance)."""
-    out = copy.deepcopy(defaults)
-    for key, val in given.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(defaults[key], dict) and isinstance(val, dict):
-            out[key] = _merge_checked(defaults[key], val, path + key + ".")
-        else:
+def _fits(example, value) -> bool:
+    """Whether `value` has the JSON type of `example`: a float takes any
+    number, a list takes lists whose entries fit its first entry, and every
+    other type takes only itself, so a boolean is never a number."""
+    if isinstance(example, list):
+        return isinstance(value, list) and all(_fits(example[0], v) for v in value)
+    if isinstance(example, float):
+        return type(value) in (int, float)
+    return type(value) is type(example)
+
+
+def _type_name(example, plural: bool = False) -> str:
+    if isinstance(example, list):
+        return ("lists" if plural else "a list") + " of " + _type_name(example[0], True)
+    return _TYPE_NAMES[type(example)][plural]
+
+
+def _merge_checked(defaults: dict, *layers: dict, path: str = "") -> dict:
+    """Defaults overlaid with each layer in turn; the outermost call (empty
+    path) returns a deep copy, sharing nothing with either.  A key absent
+    from defaults is an error (no silent typo tolerance), a section merges
+    key by key, and a leaf must have the JSON type of its default, or of one
+    of its `_LEAF_EXAMPLES`."""
+    out = dict(defaults)
+    for given in layers:
+        if not isinstance(given, dict):
+            raise ConfigError(f"{path[:-1] or 'config'} must be an object, got {given!r}")
+        for key, val in given.items():
+            name = path + key
+            if key not in defaults:
+                raise ConfigError(f"unknown config key {name!r}")
+            if isinstance(defaults[key], dict):
+                out[key] = _merge_checked(defaults[key], out[key], val, path=name + ".")
+                continue
+            examples = _LEAF_EXAMPLES.get(name, (defaults[key],))
+            if not any(_fits(e, val) for e in examples):
+                raise ConfigError(f"{name} must be {' or '.join(map(_type_name, examples))}, "
+                                  f"got {val!r}")
             out[key] = val
-    return out
+    return out if path else copy.deepcopy(out)
+
+
+def _check_ranges(cfg: dict) -> dict:
+    """cfg itself, once each value lies in the range its use needs; the JSON
+    types are `_merge_checked`'s, and solve's orders `run_solve`'s."""
+    fmt = cfg["output"]["format"]
+    if fmt not in ("json", "csv"):
+        raise ConfigError(f"output.format must be 'json' or 'csv', got {fmt!r}")
+    wf = cfg["time"]["window_factor"]
+    if wf < 4 or wf & (wf - 1):
+        raise ConfigError(f"time.window_factor must be an integer power of two >= 4, "
+                          f"got {wf!r}")
+    a = cfg["analysis"]
+    if any(s not in SEMINORMS for s in a["seminorms"]):
+        raise ConfigError(f"analysis.seminorms must name only {', '.join(SEMINORMS)}; "
+                          f"got {a['seminorms']!r}")
+    for key, value in (("solver.tolerance", cfg["solver"]["tolerance"]),
+                       ("analysis.divergence_threshold", a["divergence_threshold"])):
+        if not 0.0 < value < float("inf"):
+            raise ConfigError(f"{key} must be a positive finite number, got {value!r}")
+    for key, valid, values in (
+            ("analysis.holder_alpha", FracOrder, [a["holder_alpha"]]),
+            ("analysis.dini_q", check_dini_exponent, a["dini_q"]),
+            ("analysis.resolutions", lambda n: TimeGrid(0.0, 1.0, n), a["resolutions"])):
+        for v in values:
+            try:
+                valid(v)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+    return cfg
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> dict:
+    """The config in the JSON file at `path`, with each `dotted.key=json_value`
+    of `overrides` merged on top in turn, checked."""
     with open(path) as fh:
-        given = json.load(fh)
-    cfg = _merge_checked(DEFAULT_CONFIG, given)
+        layers = [json.load(fh)]
     for item in overrides or []:
-        if "=" not in item:
+        dotted, eq, raw = item.partition("=")
+        if not eq:
             raise ConfigError(f"--set expects dotted.key=json_value, got {item!r}")
-        dotted, _, raw = item.partition("=")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        keys = dotted.split(".")
-        for k in keys[:-1]:
-            if k not in node or not isinstance(node[k], dict):
-                raise ConfigError(f"unknown config key {dotted!r}")
-            node = node[k]
-        if keys[-1] not in node:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node[keys[-1]] = value
-    if cfg["output"]["format"] not in ("json", "csv"):
-        raise ConfigError(f"output.format must be 'json' or 'csv', got "
-                          f"{cfg['output']['format']!r}")
-    wf = cfg["time"]["window_factor"]
-    if not isinstance(wf, int) or isinstance(wf, bool) or wf < 4 or wf & (wf - 1):
-        raise ConfigError(f"time.window_factor must be an integer power of two >= 4, "
-                          f"got {wf!r}")
-    seminorms = cfg["analysis"]["seminorms"]
-    if not isinstance(seminorms, list) or any(s not in SEMINORMS for s in seminorms):
-        raise ConfigError(f"analysis.seminorms must name only {', '.join(SEMINORMS)}; "
-                          f"got {seminorms!r}")
-    for key in ("solver.tolerance", "analysis.divergence_threshold"):
-        section, leaf = key.split(".")
-        value = cfg[section][leaf]
-        if not (_is_real(value) and 0.0 < value < float("inf")):
-            raise ConfigError(f"{key} must be a positive finite number, got {value!r}")
-    return cfg
-
-
-def _is_real(value) -> bool:
-    """A JSON number: int or float, but not bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_ratio_orders(cfg: dict) -> None:
-    """maxreg_ratio measures u in H^(alpha + 1/2), so solve needs alpha in (0, 1/2]."""
-    alphas = cfg["analysis"]["alphas"]
-    if not isinstance(alphas, list):
-        raise ConfigError(f"analysis.alphas must be a list, got {alphas!r}")
-    for alpha in alphas:
-        if not (_is_real(alpha) and 0.0 < alpha <= 0.5):
-            raise ConfigError(f"analysis.alphas: solve needs orders in (0, 1/2], got {alpha!r}")
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        layers.append(value)
+    return _check_ranges(_merge_checked(DEFAULT_CONFIG, *layers))
 
 
 def _setup(cfg: dict) -> tuple[TimeGrid, SpaceMesh, CoefficientField]:
@@ -332,7 +371,10 @@ def _extension_rows(A: CoefficientField, rows: list[SeminormRow],
 
 
 def run_solve(cfg: dict) -> RegularityReport:
-    _check_ratio_orders(cfg)
+    # maxreg_ratio measures u in H^(alpha + 1/2), so solve needs alpha in (0, 1/2]
+    for alpha in cfg["analysis"]["alphas"]:
+        if not 0.0 < alpha <= 0.5:
+            raise ConfigError(f"analysis.alphas: solve needs orders in (0, 1/2], got {alpha!r}")
     grid, mesh, A = _setup(cfg)
     f = _build_forcing(cfg, grid, mesh)
     res = cauchy_solve(A, f, window_factor=cfg["time"]["window_factor"],
@@ -442,20 +484,18 @@ def run_commutator(cfg: dict) -> RegularityReport:
 def _sweep_point(cfg: dict, axis: str, value) -> dict:
     """The report of one sweep point as a dict, or its error: a failing
     point is recorded and the sweep continues."""
-    point = copy.deepcopy(cfg)
     try:
         if axis == "resolution":
-            point["time"]["n_points"] = int(value)
-            point["experiment_id"] += f".n{int(value)}"
+            change, suffix = {"time": {"n_points": int(value)}}, f".n{int(value)}"
         elif axis == "alpha":
-            point["analysis"]["alphas"] = [float(value)]
-            point["experiment_id"] += f".a{value}"
+            change, suffix = {"analysis": {"alphas": [float(value)]}}, f".a{value}"
         elif axis == "family":
-            point["coefficient"]["kind"] = str(value)
-            point["experiment_id"] += f".{value}"
+            change, suffix = {"coefficient": {"kind": str(value)}}, f".{value}"
         else:
             raise ConfigError(f"unknown sweep axis {axis!r}")
-        return run_solve(point).to_dict()
+        point = _merge_checked(DEFAULT_CONFIG, cfg, change,
+                               {"experiment_id": cfg["experiment_id"] + suffix})
+        return run_solve(_check_ranges(point)).to_dict()
     except Exception as exc:  # noqa: BLE001 - per-point isolation
         return {"error": str(exc), "error_type": type(exc).__name__}
 

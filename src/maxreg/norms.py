@@ -52,10 +52,6 @@ def d_alpha(u: SpaceTimeField, alpha: float) -> SpaceTimeField:
     return field_symbol(u, frac_symbol(u.time_grid.frequencies, alpha))
 
 
-def time_derivative(u: SpaceTimeField) -> SpaceTimeField:
-    return field_symbol(u, 1j * u.time_grid.frequencies)
-
-
 def spectrum(u: SpaceTimeField) -> np.ndarray:
     """Unitary time spectrum fft(u, axis=time, norm="ortho"), (nt, ndof): by
     Parseval, dt * sum_k (x_k | y_k)_H over the spectra x, y of fields u, v

@@ -191,38 +191,3 @@ def time_inner_product(u: TimeSignal, v: TimeSignal) -> complex:
 
 def time_norm(u: TimeSignal) -> float:
     return float(np.sqrt(max(time_inner_product(u, u).real, 0.0)))
-
-
-def save_signal(u: TimeSignal, path: str, format: str = "csv") -> str:
-    """Serialize a scalar signal.
-
-    csv: header "t,re,im", one row per sample.
-    binary: flat little-endian float64 records (t, re, im), n rows, no header;
-    the grid is reconstructed on load from the uniform t column.
-    """
-    if u.values.ndim != 1:
-        raise SignalError("serialization is defined for scalar signals")
-    cols = np.column_stack([u.grid.points, u.values.real, u.values.imag])
-    if format == "csv":
-        np.savetxt(path, cols, delimiter=",", header="t,re,im", comments="")
-    elif format == "binary":
-        cols.astype("<f8").tofile(path)
-    else:
-        raise ValueError(f"unknown signal format {format!r}")
-    return path
-
-
-def load_signal(path: str, format: str = "csv") -> TimeSignal:
-    if format == "csv":
-        cols = np.loadtxt(path, delimiter=",", skiprows=1)
-    elif format == "binary":
-        cols = np.fromfile(path, dtype="<f8").reshape(-1, 3)
-    else:
-        raise ValueError(f"unknown signal format {format!r}")
-    t, re, im = cols[:, 0], cols[:, 1], cols[:, 2]
-    n = len(t)
-    dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-9 * max(abs(dt), 1.0)):
-        raise SignalError("serialized signal is not on a uniform grid")
-    grid = TimeGrid(float(t[0]), float(t[0] + n * dt), n)
-    return TimeSignal(grid, re + 1j * im)

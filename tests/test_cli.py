@@ -442,3 +442,98 @@ class TestSweep:
         for good in ("constant", "lipschitz"):
             assert "norms" in sweep["points"][good]
             assert sweep["points"][good]["norms"]["l2h_u"] > 0
+
+
+def config_leaves(node, path=""):
+    for key, val in node.items():
+        if isinstance(val, dict):
+            yield from config_leaves(val, path + key + ".")
+        else:
+            yield path + key, val
+
+
+def forbid_runs(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run started on a rejected config")
+    for name in ("run_solve", "run_analyze", "run_extend", "run_commutator", "run_sweep"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
+def assert_rejected(code, err, key):
+    assert code == EXIT_VALIDATION
+    assert "Traceback" not in err
+    assert key in err.strip().splitlines()[-1]
+
+
+class TestConfigSchema:
+    # a boolean leaf takes no number, and no other leaf takes a boolean; no
+    # leaf takes an object
+    @pytest.mark.parametrize("key, wrong", [
+        (key, wrong) for key, default in config_leaves(cli.DEFAULT_CONFIG)
+        for wrong in ("1" if isinstance(default, bool) else "true", '{"x":1}')])
+    def test_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch,
+                                               key, wrong):
+        forbid_runs(monkeypatch)
+        code = run_cli("solve", "sqrt-product", "--set", f"{key}={wrong}", outdir=tmp_path)
+        assert_rejected(code, capsys.readouterr().err, key)
+
+    @pytest.mark.parametrize("item", [
+        'analysis.holder_alpha="x"', 'analysis.dini_q=["x"]', "analysis.dini_q=1",
+        'analysis.resolutions="x"', 'coefficient.amp="x"', 'coefficient.t0="x"',
+        'time.T="x"', 'mesh.x_lo="x"', 'forcing.mode="x"', "mesh=5",
+        "coefficient.mollify_width=2.5", "coefficient.mollify_width=true",
+        'coefficient.seed="x"', 'analysis.extension_constants="x"', "experiment_id=5",
+        'coefficient.value="x"', "coefficient.value=[2.0]",
+        "analysis.holder_alpha=1.5", "analysis.dini_q=[3]", "analysis.resolutions=[100]",
+    ])
+    @pytest.mark.parametrize("command", ["solve", "analyze", "sweep"])
+    def test_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, item):
+        # each of these raised a traceback, ran to exit 0 or failed only
+        # after the solve; the error names the key and the value
+        forbid_runs(monkeypatch)
+        sweep = ["--axis", "resolution", "--values", "64"] if command == "sweep" else []
+        code = run_cli(command, "sqrt-product", *sweep, "--set", item, outdir=tmp_path)
+        err = capsys.readouterr().err
+        key, _, value = item.partition("=")
+        assert_rejected(code, err, key)
+        assert value.strip('"[]').lower() in err.strip().splitlines()[-1].lower()
+
+    def test_whole_section_set_merges(self):
+        cfg = cli.load_config(bundled_config_path("sqrt-product"),
+                              ['coefficient={"kind": "step", "seed": 3}',
+                               "coefficient.amp=0.25"])
+        assert cfg["coefficient"] == {**cli.DEFAULT_CONFIG["coefficient"],
+                                      "kind": "step", "seed": 3, "amp": 0.25}
+
+    def test_null_t0_and_matrix_value_accepted(self, tmp_path):
+        cfg = cli.load_config(bundled_config_path("sqrt-product"),
+                              ["coefficient.t0=0.25", "coefficient.t0=null",
+                               "coefficient.value=[[2.0]]"])
+        assert cfg["coefficient"]["t0"] is None
+        assert cfg["coefficient"]["value"] == [[2.0]]
+        code = run_cli("solve", "autonomous-dirichlet", "--set", "time.n_points=64",
+                       "--set", "coefficient.value=[[2.0]]", outdir=tmp_path)
+        assert code == EXIT_OK
+        rep = load_report(str(tmp_path / "autonomous-dirichlet.report.json"))
+        assert rep.coefficient["lambda"] == rep.coefficient["Lambda"] == 2.0
+
+    def test_merged_config_shares_nothing_with_its_layers(self):
+        # main writes --output-dir into the loaded config
+        defaults = json.dumps(cli.DEFAULT_CONFIG)
+        given = {"analysis": {"alphas": [0.25]}}
+        cfg = cli._merge_checked(cli.DEFAULT_CONFIG, given)
+        cfg["output"]["directory"] = "elsewhere"
+        cfg["analysis"]["seminorms"].append("bmo")
+        cfg["analysis"]["alphas"].append(0.5)
+        assert json.dumps(cli.DEFAULT_CONFIG) == defaults
+        assert given == {"analysis": {"alphas": [0.25]}}
+
+    def test_sweep_point_config_is_checked(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cauchy_solve ran for an unchecked point")
+        monkeypatch.setattr(cli, "cauchy_solve", forbidden)
+        cfg = cli.load_config(bundled_config_path("autonomous-dirichlet"))
+        cfg["coefficient"]["mollify_width"] = 2.5
+        point = cli.run_sweep(cfg, "resolution", ["64"], workers=2)["points"]["64"]
+        assert point["error_type"] == "ConfigError"
+        assert "coefficient.mollify_width" in point["error"] and "2.5" in point["error"]

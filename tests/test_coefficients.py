@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from maxreg.bmo import bmo_seminorm, dyadic_family, scale_invariant_half_sobolev
 from maxreg.coefficients import (
+    FAMILY_KINDS,
     CoefficientField,
     CoefficientError,
     CutoffProfile,
@@ -291,6 +292,26 @@ class TestFamilies:
             hold.append(holder_constant(a, 0.3).value)
         assert refinement_verdict(vals).divergent
         assert max(hold) <= 1.25 * min(hold)  # Hoelder constant stays stable
+
+
+# The generate_family keys each built-in kind reads; it ignores the others,
+# which the README's config schema lists as kind-specific.
+KIND_READS = {"constant": {"value"}, "sqrt_product": {"amp", "t0", "space_profile"},
+              "holder": {"seed", "alpha", "amp"}, "lipschitz": {"amp"}, "step": {"amp"}}
+KEY_CHANGES = {"seed": 1, "alpha": 0.3, "amp": 0.3, "t0": 0.25, "value": 2.0,
+               "space_profile": "cosine"}
+
+
+@pytest.mark.parametrize("key", sorted(KEY_CHANGES))
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_kind_specific_keys(kind, key):
+    # a key the kind ignores leaves its samples bitwise equal; one it reads
+    # changes them
+    assert set(KIND_READS) == set(FAMILY_KINDS)
+    grid, mesh = TimeGrid(0.0, 1.0, 64), SpaceMesh(0.0, 1.0, 8)
+    base = generate_family(kind, grid, mesh).values
+    changed = generate_family(kind, grid, mesh, **{key: KEY_CHANGES[key]}).values
+    assert np.array_equal(base, changed) == (key not in KIND_READS[kind])
 
 
 class TestColumn:

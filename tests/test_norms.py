@@ -16,7 +16,6 @@ from maxreg.norms import (
     l2v_grad_norm,
     maxreg_ratio,
     sobolev_norm,
-    time_derivative,
     zero_field,
 )
 from maxreg.timefourier import TimeGrid, fourier_multiplier, frac_symbol
@@ -34,6 +33,12 @@ def random_field(grid=GRID, mesh=MESH, seed=0):
     vals = (rng.standard_normal((grid.n_points, mesh.n_dofs))
             + 1j * rng.standard_normal((grid.n_points, mesh.n_dofs)))
     return SpaceTimeField(grid, mesh, vals)
+
+
+def time_derivative(u):
+    """du/dt: the time multiplier i*tau."""
+    return SpaceTimeField(u.time_grid, u.mesh,
+                          fourier_multiplier(u.values, 1j * u.time_grid.frequencies))
 
 
 def tensor_mode(grid=GRID, mesh=MESH, k_time=3, k_space=0):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from maxreg.timefourier import (
     FracOrder,
     GridError,
-    SignalError,
     TimeGrid,
     TimeSignal,
     UniformGrid,
@@ -16,8 +15,6 @@ from maxreg.timefourier import (
     frac_symbol,
     hilbert_symbol,
     hilbert_transform,
-    load_signal,
-    save_signal,
     time_inner_product,
     time_norm,
     twist_inverse,
@@ -225,20 +222,3 @@ class TestInnerProduct:
         with pytest.raises(GridError):
             time_inner_product(u, v)
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("fmt", ["csv", "binary"])
-    def test_round_trip(self, fmt, tmp_path):
-        g = TimeGrid(-1.0, 1.0, 64)
-        u = random_signal(g, 9)
-        path = str(tmp_path / f"sig.{fmt}")
-        save_signal(u, path, fmt)
-        v = load_signal(path, fmt)
-        assert v.grid.compatible(g)
-        assert np.abs(v.values - u.values).max() <= 1e-15
-
-    def test_rejects_vector_values(self, tmp_path):
-        g = TimeGrid(0.0, 1.0, 64)
-        u = TimeSignal(g, np.zeros((64, 2), dtype=complex))
-        with pytest.raises(SignalError):
-            save_signal(u, str(tmp_path / "x.csv"))
