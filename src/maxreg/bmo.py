@@ -25,11 +25,22 @@ costs O(n log^2 n) instead of O(n^2).  The mean subtraction and the direct
 small lags keep the identity's cancellation off smooth data.  Matrix samples
 keep the lag-blocked path for every lag.  On either path, intervals tied to
 within _TIE_RTOL are re-evaluated by `_prefix_box_sums`.
+
+The Hoelder constant is a maximum, so most lag blocks need not be evaluated.
+Before any is, each block [lo, hi) gets the upper bound W_j / gmin(lo)^(2a):
+W_j is the largest squared range of the real and imaginary parts over a
+window of 2^(j+1) samples, which bounds every squared increment of a lag in
+octave j, and gmin(lo) is the least computed gap t[i+lo] - t[i].  Blocks are
+visited by decreasing bound, and the search stops at the first whose bound,
+times 1 + 1e-9, is below the largest ratio found.  Rounding is monotone, so
+a bound exceeds each computed ratio of its block by at most a few ulps,
+which the 1e-9 margin covers: a block that stops the search can neither
+reach nor tie the maximum.  Ties go to the earliest pair by index, whatever
+the visit order, so value and pair are bitwise the exhaustive search's.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,34 +52,43 @@ class FamilyError(ValueError):
     """Empty or malformed interval family."""
 
 
-@dataclass(frozen=True)
 class IntervalFamily:
-    """Family of subintervals of the grid window, stored as index pairs.
+    """Family of subintervals of the grid window.
 
-    Each interval is [start, end) in sample indices and contains >= 2 points.
+    `intervals` is a read-only (k, 2) integer array of index pairs, built
+    from any sequence of (start, end) pairs or (k, 2) array: each interval is
+    [start, end) in sample indices and contains >= 2 points.
     """
 
-    grid: TimeGrid
-    intervals: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.intervals) == 0:
+    def __init__(self, grid: TimeGrid, intervals):
+        try:
+            pairs = np.asarray(intervals)
+        except ValueError:      # ragged input
+            raise FamilyError("intervals must be (start, end) index pairs") from None
+        if pairs.size == 0:
             raise FamilyError("interval family is empty")
-        for a, b in self.intervals:
-            if b - a < 2 or a < 0 or b > self.grid.n_points:
-                raise FamilyError(f"bad interval indices ({a}, {b})")
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise FamilyError(f"intervals must be (start, end) integer index pairs, "
+                              f"got an array of shape {pairs.shape} and dtype {pairs.dtype}")
+        pairs = pairs.astype(np.intp)      # a copy, so no caller can write to it
+        a, b = pairs.T
+        bad = np.flatnonzero((b - a < 2) | (a < 0) | (b > grid.n_points))
+        if len(bad):
+            raise FamilyError(f"bad interval indices ({a[bad[0]]}, {b[bad[0]]})")
+        pairs.flags.writeable = False
+        self.grid = grid
+        self.intervals = pairs
 
     def __len__(self) -> int:
         return len(self.intervals)
 
-    @cached_property
+    @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(starts, ends) of the intervals as index arrays, in family order."""
-        starts, ends = np.array(self.intervals, dtype=np.intp).T
-        return starts, ends
+        return self.intervals[:, 0], self.intervals[:, 1]
 
-    def seconds(self, iv: tuple[int, int]) -> tuple[float, float]:
-        a, b = iv
+    def seconds(self, iv) -> tuple[float, float]:
+        a, b = int(iv[0]), int(iv[1])
         return (self.grid.t_start + a * self.grid.dt, self.grid.t_start + b * self.grid.dt)
 
 
@@ -78,19 +98,18 @@ def dyadic_family(grid: TimeGrid, shifted: bool = True, min_len: int = 2) -> Int
 
     The true supremum over all intervals is infeasible; dyadic + half shift
     approximates the sliding supremum to within a factor <= 2 in interval
-    length, hence is the standard surrogate for sup-type seminorms.
+    length, hence is the standard surrogate for sup-type seminorms.  Longest
+    first; within a length, the unshifted intervals come before the shifted.
     """
     n = grid.n_points
-    intervals: list[tuple[int, int]] = []
+    pieces = [np.empty((0, 2), dtype=np.intp)]
     size = n
     while size >= min_len:
-        for a in range(0, n - size + 1, size):
-            intervals.append((a, a + size))
-        if shifted and size < n:
-            for a in range(size // 2, n - size + 1, size):
-                intervals.append((a, a + size))
+        for first in ((0, size // 2) if shifted and size < n else (0,)):
+            a = np.arange(first, n - size + 1, size)
+            pieces.append(np.column_stack([a, a + size]))
         size //= 2
-    return IntervalFamily(grid, tuple(intervals))
+    return IntervalFamily(grid, np.concatenate(pieces))
 
 
 @dataclass
@@ -124,26 +143,40 @@ def _entry_flat(f: TimeSignal) -> np.ndarray:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _lag_blocks(g: np.ndarray, t: np.ndarray, exponent: float, max_lag: int | None = None):
-    """Pairwise ratios of the samples g (n, n_entries) at times t, by lag.
+def _lag_partition(n: int, max_lag: int) -> list[tuple[int, int]]:
+    """The lag blocks [lo, hi) that cover the lags 1..max_lag of n samples:
+    one octave [2^j, 2^(j+1)) at a time, split where an octave's ratio rows
+    would exceed _BLOCK_ELEMENTS, so numpy works on few large arrays while
+    memory stays O(n)."""
+    blocks = []
+    octave = 1
+    while octave <= max_lag:
+        lo, octave_end = octave, min(2 * octave, max_lag + 1)
+        while lo < octave_end:
+            hi = min(octave_end, lo + max(1, _BLOCK_ELEMENTS // (n - lo)))
+            blocks.append((lo, hi))
+            lo = hi
+        octave *= 2
+    return blocks
 
-    Yields (lags, R) with, for m = lags[k],
+
+def _ratio_kernel(g: np.ndarray, t: np.ndarray, exponent: float):
+    """The block evaluator of the samples g (n, n_entries) at times t.
+
+    Returns ratios(lo, hi), the (hi - lo, n - lo) array R with, for m = lo + k,
 
         R[k, i] = max_entries |g[i+m] - g[i]|^2 / |t[i+m] - t[i]|^exponent,  i < n - m,
 
-    and R[k, i] = 0 for i >= n - m.  Lags 1..max_lag come one octave
-    [2^j, 2^(j+1)) at a time, split where an octave exceeds _BLOCK_ELEMENTS,
-    so numpy works on few large arrays while memory stays O(n).  Every ratio
-    is bitwise the (i, i+m) entry of the dense n x n ratio matrix: the same
-    differences, the same gap computed from t, the same operations.
+    and R[k, i] = 0 for i >= n - m.  Every ratio is bitwise the (i, i+m)
+    entry of the dense n x n ratio matrix: the same differences, the same gap
+    computed from t, the same operations.
 
-    R lives in a buffer that the next block overwrites: reduce it before
-    asking for the next one.
+    R lives in a buffer that the next call overwrites: reduce it before
+    asking for the next block.
     """
     n, n_entries = g.shape
-    max_lag = n - 1 if max_lag is None else min(max_lag, n - 1)
-    # Row k of a block reads samples lags[0] + k + i, past the end for the
-    # last rows: pad with zeros at infinite times, and zero those ratios.
+    # Row k of a block reads samples lo + k + i, past the end for the last
+    # rows: pad with zeros at infinite times, and zero those ratios.
     pad = np.zeros((n, n_entries), dtype=g.dtype)
     windows = sliding_window_view(np.concatenate([g, pad]), n - 1, axis=0)
     t_windows = sliding_window_view(np.concatenate([t, np.full(n, np.inf)]), n - 1)
@@ -151,37 +184,45 @@ def _lag_blocks(g: np.ndarray, t: np.ndarray, exponent: float, max_lag: int | No
     ratio_buf, gap_buf = np.empty(size), np.empty(size)
     sq_buf = np.empty(size) if n_entries > 1 else None
     diff_buf = np.empty(size, dtype=g.dtype) if np.iscomplexobj(g) else None
-    octave = 1
-    while octave <= max_lag:
-        lo, octave_end = octave, min(2 * octave, max_lag + 1)
-        while lo < octave_end:
-            width = n - lo
-            hi = min(octave_end, lo + max(1, _BLOCK_ELEMENTS // width))
-            rows = hi - lo
-            R = ratio_buf[:rows * width].reshape(rows, width)
-            for e in range(n_entries):
-                sq = R if e == 0 else sq_buf[:rows * width].reshape(rows, width)
-                if diff_buf is None:     # x * x == |x|^2 for real x
-                    np.subtract(windows[lo:hi, e, :width], g[:width, e], out=sq)
-                    np.multiply(sq, sq, out=sq)
-                else:
-                    diff = diff_buf[:rows * width].reshape(rows, width)
-                    np.subtract(windows[lo:hi, e, :width], g[:width, e], out=diff)
-                    np.abs(diff, out=sq)
-                    np.multiply(sq, sq, out=sq)
-                if e > 0:
-                    np.maximum(R, sq, out=R)
-            if exponent:        # gap^0 == 1: nothing to divide by
-                gap = gap_buf[:rows * width].reshape(rows, width)
-                np.subtract(t_windows[lo:hi, :width], t[:width], out=gap)   # > 0
-                gap **= exponent    # the operator's fast paths, as in gap ** exponent
-                R /= gap
-            if rows > 1:        # row k is valid for i < width - k
-                tail = R[:, width - rows + 1:]
-                tail[np.add.outer(np.arange(rows), np.arange(rows - 1)) >= rows - 1] = 0.0
-            yield np.arange(lo, hi), R
-            lo = hi
-        octave *= 2
+
+    def ratios(lo: int, hi: int) -> np.ndarray:
+        width, rows = n - lo, hi - lo
+        R = ratio_buf[:rows * width].reshape(rows, width)
+        for e in range(n_entries):
+            sq = R if e == 0 else sq_buf[:rows * width].reshape(rows, width)
+            if diff_buf is None:     # x * x == |x|^2 for real x
+                np.subtract(windows[lo:hi, e, :width], g[:width, e], out=sq)
+                np.multiply(sq, sq, out=sq)
+            else:
+                diff = diff_buf[:rows * width].reshape(rows, width)
+                np.subtract(windows[lo:hi, e, :width], g[:width, e], out=diff)
+                np.abs(diff, out=sq)
+                np.multiply(sq, sq, out=sq)
+            if e > 0:
+                np.maximum(R, sq, out=R)
+        if exponent:        # gap^0 == 1: nothing to divide by
+            gap = gap_buf[:rows * width].reshape(rows, width)
+            np.subtract(t_windows[lo:hi, :width], t[:width], out=gap)   # > 0
+            gap **= exponent    # the operator's fast paths, as in gap ** exponent
+            R /= gap
+        if rows > 1:        # row k is valid for i < width - k
+            tail = R[:, width - rows + 1:]
+            tail[np.add.outer(np.arange(rows), np.arange(rows - 1)) >= rows - 1] = 0.0
+        return R
+
+    return ratios
+
+
+def _lag_blocks(g: np.ndarray, t: np.ndarray, exponent: float, max_lag: int | None = None):
+    """Pairwise ratios of the samples g (n, n_entries) at times t, by lag:
+    yields (lags, R) for each block of `_lag_partition` of the lags
+    1..max_lag, with R the block's `_ratio_kernel` ratios (row k is lag
+    lags[k]).  R is overwritten by the next block."""
+    n = g.shape[0]
+    max_lag = n - 1 if max_lag is None else min(max_lag, n - 1)
+    ratios = _ratio_kernel(g, t, exponent)
+    for lo, hi in _lag_partition(n, max_lag):
+        yield np.arange(lo, hi), ratios(lo, hi)
 
 
 def _family_sup(values: np.ndarray, fam: IntervalFamily) -> SeminormValue:
@@ -401,23 +442,76 @@ def frac_sobolev_seminorm(
     return SeminormValue(val, achieving_interval=(w0, w1))
 
 
+# Relative margin on the block bounds of `holder_constant`: far above the few
+# ulps by which a computed ratio can exceed its bound (|.| of a complex
+# difference and the power are each rounded once), far below any real gap.
+_BOUND_RTOL = 1e-9
+
+
+def _block_bounds(g: np.ndarray, t: np.ndarray, exponent: float,
+                  blocks: list[tuple[int, int]]) -> np.ndarray:
+    """For each lag block [lo, hi), an upper bound on its `_ratio_kernel`
+    ratios: W_j / gmin(lo)^exponent, for the octave j of lo.
+
+    Every pair (i, i+m) with m < 2^(j+1) lies in a window of 2^(j+1)
+    samples, so |g[i+m] - g[i]|^2 <= W_j, the largest squared range of the
+    real and imaginary parts of an entry over such a window.  The windowed
+    maxima and minima double once per octave, in place, so memory is O(n).
+    gmin(lo) is the least gap t[i+lo] - t[i], computed as the kernel computes
+    it; t increases, and rounding is monotone, so it is at most every gap of
+    the block.
+    """
+    n = len(t)
+    parts = [g.real, g.imag] if np.iscomplexobj(g) else [g]
+    highs, lows = [p.copy() for p in parts], [p.copy() for p in parts]
+    W, width = [], 1       # highs/lows: extremes over [i, i + width) of each entry
+    while width <= n - 1:
+        for top, bottom in zip(highs, lows):
+            top[:n - width] = np.maximum(top[:n - width], top[width:])
+            bottom[:n - width] = np.minimum(bottom[:n - width], bottom[width:])
+        width *= 2
+        W.append(sum((top - bottom) ** 2 for top, bottom in zip(highs, lows)).max())
+    gmin = np.array([(t[lo:] - t[:n - lo]).min() for lo, _ in blocks])
+    octave = [lo.bit_length() - 1 for lo, _ in blocks]
+    return np.asarray(W)[octave] / gmin ** exponent
+
+
 def holder_constant(f: TimeSignal, a: FracOrder | float) -> SeminormValue:
     """max over grid pairs of |f(t)-f(s)| / |t-s|^alpha.
 
     Ties go to the pair (s, t) with the earliest s, then the earliest t.
+
+    The lag blocks of `_lag_partition` are visited in decreasing order of
+    the bound W_j / gmin(lo)^(2 alpha) on their ratios (see `_block_bounds`),
+    and the search stops at the first block whose bound, times
+    1 + _BOUND_RTOL (1e-9), lies below the largest ratio found so far.  The
+    result is bitwise the exhaustive one.  Rounding is monotone, so a
+    computed ratio exceeds its block's bound by a few ulps at most (the
+    rounded |.| of a complex difference and the rounded power), far inside
+    the margin: a block that stops the search can neither reach nor tie the
+    maximum.  And the tie rule compares index pairs, never the visit order.
+    A step stops after one block; a signal whose ratio is near its maximum
+    at every lag, like sqrt|t - t0| at alpha = 1/2, visits nearly all.
     """
     alpha = a.alpha if isinstance(a, FracOrder) else FracOrder(a).alpha
     if f.n < 2:
         raise FamilyError("degenerate grid")
-    t = f.grid.points
+    g, t, exponent = _entry_flat(f), f.grid.points, 2.0 * alpha
+    blocks = _lag_partition(f.n, f.n - 1)
+    bounds = _block_bounds(g, t, exponent, blocks)
+    ratios = _ratio_kernel(g, t, exponent)
     best, (i, j) = 0.0, (0, 0)      # all ratios zero: the pair (t_0, t_0)
-    for lags, R in _lag_blocks(_entry_flat(f), t, 2.0 * alpha):
+    for k in np.argsort(-bounds, kind="stable"):
+        if bounds[k] == 0.0 or bounds[k] * (1.0 + _BOUND_RTOL) < best:
+            break
+        lo, hi = blocks[k]
+        R = ratios(lo, hi)
         top = R.max()
         if top == 0.0 or top < best:
             continue
         rows, starts = np.nonzero(R == top)
         first = starts.min()
-        pair = (first, first + lags[rows[starts == first]].min())
+        pair = (first, first + lo + rows[starts == first].min())
         if top > best or pair < (i, j):
             best, (i, j) = top, pair
     iv = (min(t[i], t[j]), max(t[i], t[j]))

@@ -36,6 +36,7 @@ from .bmo import (
 )
 from .coefficients import (
     FAMILY_KINDS,
+    SPACE_PROFILES,
     CoefficientError,
     CoefficientField,
     extend_full,
@@ -46,7 +47,7 @@ from .coefficients import (
     save_field,
 )
 from .commutators import commutator_norm_estimate
-from .fem import MeshError, SpaceMesh
+from .fem import DIRICHLET, NEUMANN, MeshError, SpaceMesh
 from .norms import SpaceTimeField, l2h_norm, l2v_grad_norm, maxreg_ratio, sobolev_norm
 from .report import RegularityReport, SeminormRow, emit_report
 from .solver import SolverError, autonomous_oracle, cauchy_solve
@@ -58,6 +59,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 SEMINORMS = ("bmo", "half_sobolev", "holder", "dini")
+FORCING_KINDS = ("sine", "zero", "random")
 
 # One sweep pool per worker count for the whole process.  A fresh pool per sweep
 # may start its threads before the last pool's have released their malloc
@@ -93,7 +95,7 @@ DEFAULT_CONFIG = {
         "tolerance": 1e-9,
     },
     "forcing": {
-        "kind": "sine",            # sine | zero | random
+        "kind": "sine",            # one of FORCING_KINDS
         "seed": 0,
         "mode": 1,
     },
@@ -176,9 +178,23 @@ def _merge_checked(defaults: dict, *layers: dict, path: str = "") -> dict:
 def _check_ranges(cfg: dict) -> dict:
     """cfg itself, once each value lies in the range its use needs; the JSON
     types are `_merge_checked`'s, and solve's orders `run_solve`'s."""
-    fmt = cfg["output"]["format"]
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"output.format must be 'json' or 'csv', got {fmt!r}")
+    c, m = cfg["coefficient"], cfg["mesh"]
+    for key, value, allowed in (
+            ("output.format", cfg["output"]["format"], ("json", "csv")),
+            ("coefficient.kind", c["kind"], FAMILY_KINDS),
+            ("coefficient.space_profile", c["space_profile"], SPACE_PROFILES),
+            ("forcing.kind", cfg["forcing"]["kind"], FORCING_KINDS),
+            ("mesh.bc_left", m["bc_left"], (DIRICHLET, NEUMANN)),
+            ("mesh.bc_right", m["bc_right"], (DIRICHLET, NEUMANN))):
+        if value not in allowed:
+            raise ConfigError(f"{key} must be one of {', '.join(allowed)}; got {value!r}")
+    if c["mollify_width"] < 0:
+        raise ConfigError(f"coefficient.mollify_width must be >= 0 cells (0: no "
+                          f"mollification), got {c['mollify_width']!r}")
+    value = c["value"]
+    if isinstance(value, list) and not (value and all(len(r) == len(value) for r in value)):
+        raise ConfigError(f"coefficient.value must be a number or a square matrix, "
+                          f"got {value!r}")
     wf = cfg["time"]["window_factor"]
     if wf < 4 or wf & (wf - 1):
         raise ConfigError(f"time.window_factor must be an integer power of two >= 4, "
@@ -262,11 +278,9 @@ def _build_forcing(cfg: dict, grid: TimeGrid, mesh: SpaceMesh) -> SpaceTimeField
     elif f["kind"] == "sine":
         prof = np.sin(f["mode"] * np.pi * (x - mesh.x_lo) / span)
         vals = np.broadcast_to(prof, (grid.n_points, mesh.n_dofs)).astype(complex).copy()
-    elif f["kind"] == "random":
+    else:                           # "random"; `_check_ranges` allows no other
         rng = np.random.default_rng(f["seed"])
         vals = rng.standard_normal((grid.n_points, mesh.n_dofs)) * (1 + 0j)
-    else:
-        raise ConfigError(f"unknown forcing kind {f['kind']!r}")
     return SpaceTimeField(grid, mesh, vals)
 
 

@@ -219,6 +219,7 @@ def mollify(A: CoefficientField, n: int) -> CoefficientField:
 # built-in families
 
 FAMILY_KINDS = ("constant", "sqrt_product", "holder", "lipschitz", "step")
+SPACE_PROFILES = ("constant", "cosine")     # the x-profiles of sqrt_product
 
 
 def _holder_series(grid: TimeGrid, alpha: float, seed: int) -> np.ndarray:

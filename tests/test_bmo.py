@@ -42,6 +42,21 @@ def sliding_family(grid, lengths=None):
     return IntervalFamily(grid, tuple((a, a + m) for m in lengths for a in range(n - m + 1)))
 
 
+def tuple_loop_dyadic(n, shifted, min_len):
+    """The dyadic family as the tuple loop that `dyadic_family` replaced
+    builds it: the reference for its interval order."""
+    intervals = []
+    size = n
+    while size >= min_len:
+        for a in range(0, n - size + 1, size):
+            intervals.append((a, a + size))
+        if shifted and size < n:
+            for a in range(size // 2, n - size + 1, size):
+                intervals.append((a, a + size))
+        size //= 2
+    return tuple(intervals)
+
+
 class TestIntervalFamily:
     def test_rejects_empty(self):
         g = TimeGrid(0.0, 1.0, 64)
@@ -58,6 +73,43 @@ class TestIntervalFamily:
         fam = dyadic_family(g)
         lengths = {b - a for a, b in fam.intervals}
         assert lengths == {2, 4, 8, 16, 32, 64}
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 512, 4096, 16384])
+    @pytest.mark.parametrize("shifted", [True, False])
+    @pytest.mark.parametrize("min_len", [2, 3, 8, 64])
+    def test_dyadic_matches_tuple_loop(self, n, shifted, min_len):
+        g = TimeGrid(0.0, 1.0, n)
+        want = tuple_loop_dyadic(n, shifted, min_len)
+        if not want:
+            with pytest.raises(FamilyError, match="empty"):
+                dyadic_family(g, shifted, min_len)
+            return
+        fam = dyadic_family(g, shifted, min_len)
+        assert fam.intervals.tolist() == [list(iv) for iv in want]
+
+    def test_bad_interval_error_names_the_first_bad_pair(self):
+        g = TimeGrid(0.0, 1.0, 64)
+        for bad in [((0, 4), (3, 4), (-1, 5)), ((0, 4), (-1, 5), (3, 4)),
+                    ((0, 64), (60, 65))]:
+            with pytest.raises(FamilyError, match=r"\(%d, %d\)" % bad[1]):
+                IntervalFamily(g, bad)
+
+    @pytest.mark.parametrize("bad", [((0, 4, 8),), ((0, 4), (8,)), ((0.0, 4.0),), [0, 4]])
+    def test_rejects_malformed_pairs(self, bad):
+        with pytest.raises(FamilyError):
+            IntervalFamily(TimeGrid(0.0, 1.0, 64), bad)
+
+    def test_pairs_and_array_give_equal_read_only_bounds(self):
+        g = TimeGrid(0.0, 1.0, 64)
+        pairs = ((0, 64), (0, 32), (32, 64), (16, 48))
+        array = np.array(pairs)
+        from_pairs, from_array = IntervalFamily(g, pairs), IntervalFamily(g, array)
+        for a, b in zip(from_pairs.bounds, from_array.bounds):
+            np.testing.assert_array_equal(a, b)
+        array[0] = (1, 2)               # the family keeps its own copy
+        assert from_array.intervals[0].tolist() == [0, 64]
+        with pytest.raises(ValueError):
+            from_array.intervals[0, 0] = 3
 
 
 class TestBmoSeminorm:
@@ -543,6 +595,85 @@ class TestAutocorrelationPath:
             assert sorted(asked) == list(range(1, bmo._FFT_MIN_LAG))
         else:
             assert sorted(asked) == list(range(1, 512))
+
+
+@st.composite
+def prunable_signals(draw):
+    """Signals whose Hoelder search stops early: steps, plateaus and monotone
+    ramps, scalar or complex 2x2, on power-of-two and 3n grids."""
+    n = draw(st.sampled_from([8, 16, 33, 48, 64, 96, 128, 256]))
+    grid = TimeGrid(0.0, 1.0, n) if n & (n - 1) == 0 else UniformGrid(-1.0, 2.0, n)
+    shape = (n,) if draw(st.booleans()) else (n, 2, 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["step", "plateaus", "ramp"]))
+    if kind == "step":
+        jumps = rng.integers(0, n, draw(st.integers(1, 3)))
+        vals = (np.arange(n)[:, None] >= jumps[None, :]).sum(axis=1).astype(float)
+        vals = vals.reshape((n,) + (1,) * (len(shape) - 1)) * rng.standard_normal(shape[1:])
+    elif kind == "plateaus":
+        run = draw(st.sampled_from([2, 4, 8, 16]))
+        vals = np.repeat(rng.standard_normal((n // run + 1,) + shape[1:]), run, axis=0)[:n]
+    else:
+        vals = np.cumsum(np.abs(rng.standard_normal(shape)), axis=0)
+    if draw(st.booleans()):
+        vals = vals + 1j * np.repeat(rng.standard_normal((n // 4 + 1,) + shape[1:]), 4,
+                                     axis=0)[:n]
+    return TimeSignal(grid, np.asarray(vals, dtype=complex))
+
+
+def count_blocks(monkeypatch):
+    """The number of lag blocks evaluated, by a spy on `bmo._ratio_kernel`."""
+    visited = []
+    kernel = bmo._ratio_kernel
+
+    def spy(g, t, exponent):
+        ratios = kernel(g, t, exponent)
+
+        def counted(lo, hi):
+            visited.append((lo, hi))
+            return ratios(lo, hi)
+        return counted
+
+    monkeypatch.setattr(bmo, "_ratio_kernel", spy)
+    return visited
+
+
+class TestHolderPruning:
+    """holder_constant visits lag blocks by decreasing bound and stops early;
+    its value and achieving pair stay bitwise the exhaustive ones."""
+
+    @given(st.data(), st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_prunable_signals_match_dense_bitwise(self, data, alpha):
+        f = data.draw(prunable_signals())
+        res = holder_constant(f, alpha)
+        assert (res.value, res.achieving_interval) == dense_holder(f, alpha)
+
+    def test_step_visits_fewer_blocks(self, monkeypatch):
+        visited = count_blocks(monkeypatch)
+        g = TimeGrid(0.0, 1.0, 1024)
+        f = sig(g, lambda t: (t >= 0.3).astype(float))
+        res = holder_constant(f, 0.5)
+        assert (res.value, res.achieving_interval) == dense_holder(f, 0.5)
+        assert 0 < len(visited) < len(bmo._lag_partition(1024, 1023))
+
+    def test_constant_visits_no_block(self, monkeypatch):
+        visited = count_blocks(monkeypatch)
+        g = TimeGrid(0.0, 1.0, 256)
+        res = holder_constant(const(g), 0.5)
+        assert (res.value, res.achieving_interval) == (0.0, (g.points[0], g.points[0]))
+        assert visited == []
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_sqrt_rounding_level_ties_match_dense(self, monkeypatch, n):
+        # |sqrt(t - t0)|^2 / (t - t0) is 1 for every t > t0: the maximum is
+        # tied across lags and blocks up to rounding
+        visited = count_blocks(monkeypatch)
+        g = TimeGrid(-1.0, 1.0, n)
+        f = sig(g, lambda t: np.sqrt(np.abs(t - g.points[n // 3])))
+        res = holder_constant(f, 0.5)
+        assert (res.value, res.achieving_interval) == dense_holder(f, 0.5)
+        assert visited
 
 
 class TestLagKernelMemory:

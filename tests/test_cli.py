@@ -485,6 +485,10 @@ class TestConfigSchema:
         'coefficient.seed="x"', 'analysis.extension_constants="x"', "experiment_id=5",
         'coefficient.value="x"', "coefficient.value=[2.0]",
         "analysis.holder_alpha=1.5", "analysis.dini_q=[3]", "analysis.resolutions=[100]",
+        "coefficient.mollify_width=-1", "coefficient.value=[[1.0, 2.0]]",
+        "coefficient.value=[[1.0, 2.0], [3.0]]", "coefficient.value=[]",
+        'coefficient.kind="fractal"', 'forcing.kind="noise"',
+        'coefficient.space_profile="wavy"', 'mesh.bc_left="robin"', 'mesh.bc_right="robin"',
     ])
     @pytest.mark.parametrize("command", ["solve", "analyze", "sweep"])
     def test_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, item):
