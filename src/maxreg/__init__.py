@@ -13,7 +13,7 @@ Subpackages:
   cli           experiment runner (solve / analyze / extend / commutator / sweep)
 """
 
-from .timefourier import (FracOrder, TimeGrid, TimeSignal, frac_derivative,
+from .timefourier import (TimeGrid, TimeSignal, frac_derivative, frac_order,
                           hilbert_transform, time_inner_product,
                           twist_inverse, twist_operator)
 from .bmo import (IntervalFamily, SeminormValue, bmo_seminorm, dini_integral,

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .timefourier import FracOrder, TimeGrid, TimeSignal
+from .timefourier import TimeGrid, TimeSignal, frac_order
 
 
 class FamilyError(ValueError):
@@ -122,19 +122,6 @@ class SeminormValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-def _entry_flat(f: TimeSignal) -> np.ndarray:
-    """Samples flattened to (n, n_entries) for entrywise reductions.
-
-    Complex samples with zero imaginary part come back real: every reduction
-    here goes through |.|, and |x + 0j| == |x| exactly, so this only saves time.
-    """
-    v = np.asarray(f.values)
-    v = v.reshape(v.shape[0], -1)
-    if np.iscomplexobj(v) and not v.imag.any():
-        v = v.real
-    return v
 
 
 # Elements per block of _lag_blocks and per vectorised gather: 512 KiB of
@@ -244,7 +231,7 @@ def bmo_seminorm(f: TimeSignal, fam: IntervalFamily) -> SeminormValue:
     """
     if not f.grid.compatible(fam.grid):
         raise FamilyError("family grid does not match signal grid")
-    cols = np.ascontiguousarray(_entry_flat(f).T)
+    cols = np.ascontiguousarray(f.values.reshape(f.n, -1).T)
     starts, ends = fam.bounds
     lengths = ends - starts
     osc = np.empty(len(fam))
@@ -305,7 +292,7 @@ def scale_invariant_half_sobolev(f: TimeSignal, fam: IntervalFamily) -> Seminorm
     """
     if not f.grid.compatible(fam.grid):
         raise FamilyError("family grid does not match signal grid")
-    g, t, dt = _entry_flat(f), f.grid.points, f.grid.dt
+    g, t, dt = f.values.reshape(f.n, -1), f.grid.points, f.grid.dt
     starts, ends = fam.bounds
     order = np.argsort(starts - ends, kind="stable")     # longest first
     a, b = starts[order], ends[order]
@@ -420,10 +407,10 @@ def _prefix_box_sums(g: np.ndarray, t: np.ndarray, starts: np.ndarray,
 
 
 def frac_sobolev_seminorm(
-    f: TimeSignal, a: FracOrder | float, window: tuple[float, float] | None = None
+    f: TimeSignal, a: float, window: tuple[float, float] | None = None
 ) -> SeminormValue:
     """iint |f(t)-f(s)|^2/|t-s|^(2a+1) over window x window (no sup, no 1/l)."""
-    alpha = a.alpha if isinstance(a, FracOrder) else FracOrder(a).alpha
+    alpha = frac_order(a)
     if not (alpha < 1.0):
         raise ValueError("fractional Sobolev seminorm needs alpha in (0, 1)")
     if window is None:
@@ -433,7 +420,7 @@ def frac_sobolev_seminorm(
         i1 = f.grid.index_of(window[1]) if window[1] < f.grid.t_end else f.n
         if i1 - i0 < 2:
             raise FamilyError("degenerate window")
-    g, t = _entry_flat(f)[i0:i1], f.grid.points[i0:i1]
+    g, t = f.values.reshape(f.n, -1)[i0:i1], f.grid.points[i0:i1]
     total = sum(float(R.sum()) for _, R in _lag_blocks(g, t, 2.0 * alpha + 1.0))
     dt = f.grid.dt
     val = 2.0 * total * dt * dt
@@ -476,7 +463,7 @@ def _block_bounds(g: np.ndarray, t: np.ndarray, exponent: float,
     return np.asarray(W)[octave] / gmin ** exponent
 
 
-def holder_constant(f: TimeSignal, a: FracOrder | float) -> SeminormValue:
+def holder_constant(f: TimeSignal, a: float) -> SeminormValue:
     """max over grid pairs of |f(t)-f(s)| / |t-s|^alpha.
 
     Ties go to the pair (s, t) with the earliest s, then the earliest t.
@@ -493,10 +480,10 @@ def holder_constant(f: TimeSignal, a: FracOrder | float) -> SeminormValue:
     A step stops after one block; a signal whose ratio is near its maximum
     at every lag, like sqrt|t - t0| at alpha = 1/2, visits nearly all.
     """
-    alpha = a.alpha if isinstance(a, FracOrder) else FracOrder(a).alpha
+    alpha = frac_order(a)
     if f.n < 2:
         raise FamilyError("degenerate grid")
-    g, t, exponent = _entry_flat(f), f.grid.points, 2.0 * alpha
+    g, t, exponent = f.values.reshape(f.n, -1), f.grid.points, 2.0 * alpha
     blocks = _lag_partition(f.n, f.n - 1)
     bounds = _block_bounds(g, t, exponent, blocks)
     ratios = _ratio_kernel(g, t, exponent)
@@ -539,7 +526,7 @@ def dini_integral(
         horizon = f.grid.period
     m_max = min(n - 1, int(round(horizon / dt)))
     sup = np.empty(m_max)
-    for lags, R in _lag_blocks(_entry_flat(f), f.grid.points, 0.0, max_lag=m_max):
+    for lags, R in _lag_blocks(f.values.reshape(f.n, -1), f.grid.points, 0.0, max_lag=m_max):
         sup[lags - 1] = np.sqrt(R.max(axis=1))
     lags = np.arange(1, m_max + 1)
     weights = dt / ((lags * dt) ** (1.0 + q / 2.0))

@@ -51,8 +51,8 @@ from .fem import DIRICHLET, NEUMANN, MeshError, SpaceMesh
 from .norms import SpaceTimeField, l2h_norm, l2v_grad_norm, maxreg_ratio, sobolev_norm
 from .report import RegularityReport, SeminormRow, emit_report
 from .solver import SolverError, autonomous_oracle, cauchy_solve
-from .timefourier import (FracOrder, GridError, SignalError, TimeGrid, TimeSignal,
-                          frac_derivative)
+from .timefourier import (GridError, SignalError, TimeGrid, TimeSignal, frac_derivative,
+                          frac_order)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -125,7 +125,7 @@ _LEAF_EXAMPLES = {
     "output.directory": (None, ""),
 }
 _TYPE_NAMES = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
-               float: ("a number", "numbers"), str: ("a string", "strings"),
+               float: ("a finite number", "finite numbers"), str: ("a string", "strings"),
                type(None): ("null", "nulls")}
 
 
@@ -135,12 +135,13 @@ class ConfigError(ValueError):
 
 def _fits(example, value) -> bool:
     """Whether `value` has the JSON type of `example`: a float takes any
-    number, a list takes lists whose entries fit its first entry, and every
-    other type takes only itself, so a boolean is never a number."""
+    finite number (not the Infinity, NaN or 1e400 that `json` reads), a list
+    takes lists whose entries fit its first entry, and every other type takes
+    only itself, so a boolean is never a number."""
     if isinstance(example, list):
         return isinstance(value, list) and all(_fits(example[0], v) for v in value)
     if isinstance(example, float):
-        return type(value) in (int, float)
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
     return type(value) is type(example)
 
 
@@ -170,7 +171,7 @@ def _merge_checked(defaults: dict, *layers: dict, path: str = "") -> dict:
             examples = _LEAF_EXAMPLES.get(name, (defaults[key],))
             if not any(_fits(e, val) for e in examples):
                 raise ConfigError(f"{name} must be {' or '.join(map(_type_name, examples))}, "
-                                  f"got {val!r}")
+                                  f"got {json.dumps(val)}")
             out[key] = val
     return out if path else copy.deepcopy(out)
 
@@ -205,10 +206,10 @@ def _check_ranges(cfg: dict) -> dict:
                           f"got {a['seminorms']!r}")
     for key, value in (("solver.tolerance", cfg["solver"]["tolerance"]),
                        ("analysis.divergence_threshold", a["divergence_threshold"])):
-        if not 0.0 < value < float("inf"):
-            raise ConfigError(f"{key} must be a positive finite number, got {value!r}")
+        if value <= 0.0:
+            raise ConfigError(f"{key} must be a positive number, got {value!r}")
     for key, valid, values in (
-            ("analysis.holder_alpha", FracOrder, [a["holder_alpha"]]),
+            ("analysis.holder_alpha", frac_order, [a["holder_alpha"]]),
             ("analysis.dini_q", check_dini_exponent, a["dini_q"]),
             ("analysis.resolutions", lambda n: TimeGrid(0.0, 1.0, n), a["resolutions"])):
         for v in values:

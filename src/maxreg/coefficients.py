@@ -29,11 +29,14 @@ class NotElliptic(CoefficientError):
 class CoefficientField:
     """Samples of A(t, x).  `lam`/`Lam` are the certificate of these samples,
     computed at every construction (`dataclasses.replace` included); a field
-    whose certified lower bound is not positive cannot be built."""
+    whose certified lower bound is not positive cannot be built.
+
+    `values` are stored as float64 when every imaginary part is zero
+    (integer input included), and as complex128 otherwise."""
 
     time_grid: UniformGrid
     mesh: SpaceMesh
-    values: np.ndarray  # (nt, nx, d, d) complex
+    values: np.ndarray  # (nt, nx, d, d) float64 or complex128
     T: float
     kind: str = "custom"
     seed: int | None = None
@@ -41,7 +44,11 @@ class CoefficientField:
     Lam: float = field(init=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values)
+        if np.iscomplexobj(v) and v.imag.any():
+            self.values = v.astype(complex, copy=False)
+        else:
+            self.values = np.ascontiguousarray(v.real, dtype=float)
         if self.values.ndim == 2:  # scalar field shorthand
             self.values = self.values[:, :, None, None]
         nt, nx, d1, d2 = self.values.shape
@@ -88,14 +95,17 @@ def certify_ellipticity(A: CoefficientField | np.ndarray) -> tuple[float, float]
     spectral norm; both over every (t, x) sample.  A 1x1 sample a has the
     closed form Re a and |a|, with |a| = w sqrt(1 + (v/w)^2), w >= v the
     moduli of Re a and Im a: LAPACK's rounding, so it is bitwise the svd's.
+    For real 1x1 samples that form is min(a) and max|a|, bit for bit.
     """
-    vals = A.values if isinstance(A, CoefficientField) else np.asarray(A, dtype=complex)
+    vals = A.values if isinstance(A, CoefficientField) else np.asarray(A)
     mats = vals.reshape(-1, vals.shape[-2], vals.shape[-1])
     if not np.all(np.isfinite(mats)):
         raise CoefficientError("coefficient contains non-finite samples")
     if mats.shape[-1] == 1:
-        # in place: at most three real arrays of the sample count at once
         a = mats[:, 0, 0]
+        if not np.iscomplexobj(a):
+            return float(a.min()), float(np.abs(a).max())
+        # in place: at most three real arrays of the sample count at once
         v, im = np.abs(a.real), np.abs(a.imag)
         w = np.maximum(v, im)
         np.minimum(v, im, out=v)
@@ -132,26 +142,24 @@ def _check_base_window(A: CoefficientField):
         raise CoefficientError("extension expects a coefficient sampled on [0, T)")
 
 
+def _reflect(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples v on [0, T) reflected evenly to [-T, 2T): A(-t) on (-T, 0) and
+    A(2T - t) on (T, 2T); the t = -T and t = T endpoints take the last
+    available sample (half-open grid convention)."""
+    return np.concatenate((v[-1:], v[:0:-1], v, v[-1:], v[:0:-1]), out=out)
+
+
 def extend_reflect(A: CoefficientField) -> CoefficientField:
     """Even reflection of A from [0, T) to [-T, 2T): first about t = 0, then
-    about t = T (the only pivot that reaches [-T, 2T]).  The t = -T and t = T
-    endpoints take the last available sample (half-open grid convention).
-    Ellipticity certificate is unchanged."""
+    about t = T (the only pivot that reaches [-T, 2T]).  Ellipticity
+    certificate is unchanged."""
     _check_base_window(A)
-    n = A.n_t
-    vals = A.values
-    out = np.empty((3 * n,) + vals.shape[1:], dtype=vals.dtype)
-    out[n : 2 * n] = vals                      # [0, T)
-    out[1:n] = vals[1:][::-1]                  # (-T, 0): A(-t)
-    out[0] = vals[n - 1]                       # t = -T
-    out[2 * n + 1 :] = vals[1:][::-1]          # (T, 2T): A(2T - t)
-    out[2 * n] = vals[n - 1]                   # t = T
     # 3n is never a power of two: the reflected block is a sample container
     # on a plain uniform grid, never an FFT carrier.
     return replace(
         A,
-        time_grid=UniformGrid(-A.T, 2 * A.T, 3 * n),
-        values=out,
+        time_grid=UniformGrid(-A.T, 2 * A.T, 3 * A.n_t),
+        values=_reflect(A.values),
         kind=A.kind + "+reflect",
     )
 
@@ -168,8 +176,8 @@ def extend_full(A: CoefficientField, window_factor: int = 4) -> CoefficientField
         raise CoefficientError("window must cover [-T, 3T] at least")
     cutoff = cutoff_profile(A, window_factor)
     d = A.dim
-    out = np.zeros((cutoff.grid.n_points, A.mesh.n_cells, d, d), dtype=complex)
-    out[: 3 * A.n_t] = extend_reflect(A).values  # zero beyond the reflected block
+    out = np.zeros((cutoff.grid.n_points,) + A.values.shape[1:], dtype=A.values.dtype)
+    _reflect(A.values, out=out[: 3 * A.n_t])   # zero beyond the reflected block
     # blended in place, so the certificate's scratch is the only copy made
     phi = cutoff.values[:, None, None, None]
     out *= phi
@@ -208,10 +216,12 @@ def mollify(A: CoefficientField, n: int) -> CoefficientField:
     """Circular convolution in time with the unit-mass bump rho_n.
 
     A convex average of samples, so its own certificate is at least as tight
-    as A's.
+    as A's.  Real samples give real samples: the real part of the transform.
     """
     kern = mollifier_kernel(A.time_grid, n)
     smoothed = fourier_multiplier(A.values, np.fft.fft(kern)) * A.time_grid.dt
+    if not np.iscomplexobj(A.values):
+        smoothed = smoothed.real
     return replace(A, values=smoothed, kind=A.kind + f"+mollify{n}")
 
 
@@ -262,8 +272,7 @@ def generate_family(
     nt, nx = time_grid.n_points, mesh.n_cells
     t = time_grid.points
     if kind == "constant":
-        mat = np.atleast_2d(np.asarray(value, dtype=complex))
-        vals = np.broadcast_to(mat, (nt, nx) + mat.shape).copy()
+        prof = np.atleast_2d(value)                  # (d, d) at every (t, x)
     elif kind == "sqrt_product":
         if not (0.0 < amp < 1.0):
             raise CoefficientError("sqrt_product needs 0 < amp < 1 for ellipticity")
@@ -277,33 +286,30 @@ def generate_family(
         else:
             raise CoefficientError(f"unknown space_profile {space_profile!r}")
         root = np.sqrt(np.abs(t - t0))
-        prof = 1.0 + root[:, None] * a_x[None, :]
+        prof = (1.0 + root[:, None] * a_x[None, :])[:, :, None, None]
         if prof.min() <= 0:
             raise CoefficientError("sqrt_product parameters violate ellipticity")
-        vals = prof[:, :, None, None].astype(complex)
     elif kind == "holder":
         if not (0.0 < alpha < 1.0):
             raise CoefficientError("holder kind needs alpha in (0, 1)")
         if not (0.0 < amp < 1.0):
             raise CoefficientError("holder kind needs 0 < amp < 1 for ellipticity")
         w = _holder_series(time_grid, alpha, seed)
-        prof = 1.0 + amp * w
-        vals = np.broadcast_to(prof[:, None, None, None], (nt, nx, 1, 1)).astype(complex).copy()
+        prof = (1.0 + amp * w)[:, None, None, None]
     elif kind == "lipschitz":
         prof = 1.0 + 0.5 * amp * np.sin(2 * np.pi * (t - time_grid.t_start) / time_grid.period)
-        vals = np.broadcast_to(prof[:, None, None, None], (nt, nx, 1, 1)).astype(complex).copy()
+        prof = prof[:, None, None, None]
     elif kind == "step":
         if not (0.0 < amp < 2.0):
             raise CoefficientError("step kind needs 0 < amp < 2 for ellipticity")
         mid = time_grid.t_start + 0.5 * time_grid.period
-        prof = np.where(t < mid, 1.0 - 0.5 * amp, 1.0 + 0.5 * amp)
-        vals = np.broadcast_to(prof[:, None, None, None], (nt, nx, 1, 1)).astype(complex).copy()
+        prof = np.where(t < mid, 1.0 - 0.5 * amp, 1.0 + 0.5 * amp)[:, None, None, None]
     else:
         raise CoefficientError(f"unknown family kind {kind!r}; choose from {FAMILY_KINDS}")
     return CoefficientField(
         time_grid=time_grid,
         mesh=mesh,
-        values=vals,
+        values=np.broadcast_to(prof, (nt, nx) + prof.shape[-2:]).copy(),
         T=time_grid.period,
         kind=kind,
         seed=seed,
@@ -316,7 +322,8 @@ def generate_family(
 
 def save_field(A: CoefficientField, path_prefix: str) -> tuple[str, str]:
     """Write <prefix>.json (header) and <prefix>.bin (little-endian complex128,
-    C order, shape in the header).  Returns the two paths."""
+    C order, shape in the header), real fields too: `load_field` stores
+    them as float64 again.  Returns the two paths."""
     import json
 
     header = {

@@ -15,7 +15,7 @@ from .bmo import bmo_seminorm, dyadic_family
 from .coefficients import CoefficientField
 from .norms import SpaceTimeField
 from .solver import SolverError, solve_line
-from .timefourier import (FracOrder, TimeSignal, fourier_multiplier, frac_derivative,
+from .timefourier import (TimeSignal, fourier_multiplier, frac_derivative, frac_order,
                           frac_symbol)
 
 
@@ -39,7 +39,7 @@ def commutator_kernel(a: np.ndarray, symbol: np.ndarray, u: np.ndarray) -> np.nd
     return a * fourier_multiplier(u, symbol) - fourier_multiplier(a * u, symbol)
 
 
-def commutator_norm_estimate(a: TimeSignal, alpha: FracOrder | float) -> CommutatorProbe:
+def commutator_norm_estimate(a: TimeSignal, alpha: float) -> CommutatorProbe:
     """||[a, D^alpha]|| on L2 of the window: the largest singular value,
     converged by implicitly restarted Lanczos on C*C (ARPACK, through
     scipy's svds) from a fixed start vector, so every run gives the same
@@ -49,7 +49,7 @@ def commutator_norm_estimate(a: TimeSignal, alpha: FracOrder | float) -> Commuta
     not constant.  Raises ValueError for an order outside (0, 1], before
     any ARPACK work, and SolverError when ARPACK does not converge.
     """
-    alpha_v = alpha.alpha if isinstance(alpha, FracOrder) else FracOrder(float(alpha)).alpha
+    alpha_v = frac_order(alpha)
     if a.values.ndim != 1:
         raise ValueError("commutator probe needs a scalar multiplier signal")
     n = a.n

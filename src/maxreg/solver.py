@@ -128,8 +128,7 @@ def solve_line(
         return zero_field(grid, mesh), SolveDiagnostics(residual=0.0, iterations=0)
     # spectra are held time-contiguous as (nd, nt): their (nt, nd) views
     # handed to the fem kernels are Fortran-ordered, and so is a_cells
-    a = A.scalar_cells()
-    a_cells = np.asfortranarray(a if a.imag.any() else a.real)
+    a_cells = np.asfortranarray(A.scalar_cells())
     z = 1j * grid.frequencies + theta
     factors = fem.tridiag_factor(fem.shifted_bands(mesh, z, a_cells.mean(axis=0).real))
 

@@ -90,15 +90,11 @@ class TimeGrid(UniformGrid):
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dt)
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional differentiation order, alpha in (0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"fractional order must lie in (0, 1], got {self.alpha}")
+def frac_order(alpha: float) -> float:
+    """alpha as a float, once it is a fractional differentiation order: in (0, 1]."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"fractional order must lie in (0, 1], got {alpha}")
+    return float(alpha)
 
 
 @dataclass
@@ -154,10 +150,9 @@ def _apply_symbol(u: TimeSignal, symbol: np.ndarray) -> TimeSignal:
     return TimeSignal(u.grid, fourier_multiplier(u.values, symbol))
 
 
-def frac_derivative(u: TimeSignal, a: FracOrder | float) -> TimeSignal:
+def frac_derivative(u: TimeSignal, a: float) -> TimeSignal:
     """D_t^alpha: Fourier multiplier |tau|^alpha, zero mode annihilated."""
-    alpha = a.alpha if isinstance(a, FracOrder) else FracOrder(a).alpha
-    return _apply_symbol(u, frac_symbol(u.grid.frequencies, alpha))
+    return _apply_symbol(u, frac_symbol(u.grid.frequencies, frac_order(a)))
 
 
 def hilbert_transform(u: TimeSignal) -> TimeSignal:

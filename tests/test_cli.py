@@ -179,8 +179,8 @@ class TestValidation:
         ("analysis.alphas=[0.5,0.75]", "0.75"),
         ("analysis.alphas=[0]", "0"),
         ("analysis.alphas=[-0.5]", "-0.5"),
-        ('analysis.alphas=["x"]', "'x'"),
-        ('analysis.alphas="x"', "'x'"),
+        ('analysis.alphas=["x"]', '"x"'),
+        ('analysis.alphas="x"', '"x"'),
     ])
     def test_solve_order_out_of_range_exits_2_before_solving(
             self, tmp_path, capsys, monkeypatch, item, named):
@@ -489,6 +489,8 @@ class TestConfigSchema:
         "coefficient.value=[[1.0, 2.0], [3.0]]", "coefficient.value=[]",
         'coefficient.kind="fractal"', 'forcing.kind="noise"',
         'coefficient.space_profile="wavy"', 'mesh.bc_left="robin"', 'mesh.bc_right="robin"',
+        "mesh.x_hi=Infinity", "time.T=NaN", "coefficient.t0=-Infinity",
+        "coefficient.amp=NaN", "coefficient.value=[[Infinity]]",
     ])
     @pytest.mark.parametrize("command", ["solve", "analyze", "sweep"])
     def test_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, item):
@@ -501,6 +503,13 @@ class TestConfigSchema:
         key, _, value = item.partition("=")
         assert_rejected(code, err, key)
         assert value.strip('"[]').lower() in err.strip().splitlines()[-1].lower()
+
+    @pytest.mark.parametrize("item", ["time.T=1e400", "mesh.x_hi=1" + "0" * 400])
+    def test_numbers_beyond_float_range_rejected(self, tmp_path, capsys, monkeypatch, item):
+        # json reads 1e400 as Infinity and a 401-digit integer exactly
+        forbid_runs(monkeypatch)
+        code = run_cli("solve", "sqrt-product", "--set", item, outdir=tmp_path)
+        assert_rejected(code, capsys.readouterr().err, item.partition("=")[0])
 
     def test_whole_section_set_merges(self):
         cfg = cli.load_config(bundled_config_path("sqrt-product"),

@@ -1,12 +1,14 @@
-"""Coefficient families, ellipticity certification, the extension
-algorithm with its proven constants, and mollification."""
+"""Coefficient families, ellipticity certification, the storage rule, the
+extension algorithm with its proven constants, and mollification."""
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxreg.coefficients as coefficients
 from maxreg.bmo import bmo_seminorm, dyadic_family, scale_invariant_half_sobolev
 from maxreg.coefficients import (
     FAMILY_KINDS,
@@ -23,6 +25,7 @@ from maxreg.coefficients import (
     mollify,
     save_field,
 )
+from maxreg.cli import load_config, run_analyze
 from maxreg.fem import SpaceMesh
 from maxreg.timefourier import TimeGrid, frac_derivative
 
@@ -78,6 +81,15 @@ class TestCertification:
             Lam = np.linalg.svd(mats, compute_uv=False)[:, 0].max()
             assert certify_ellipticity(mats) == (lam, Lam)
 
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.sampled_from([0.0, -0.0, -1.0])), min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_real_samples_certify_bitwise_as_complex(self, samples):
+        # the real 1x1 form min(a), max|a| is the closed form at Im a = 0
+        x = np.array(samples).reshape(-1, 1, 1)
+        real, cplx = certify_ellipticity(x), certify_ellipticity(x.astype(complex))
+        assert np.array(real).tobytes() == np.array(cplx).tobytes()
+
     def test_certificate_is_not_an_argument(self):
         with pytest.raises(TypeError):
             CoefficientField(GRID, MESH, np.ones((GRID.n_points, MESH.n_cells)),
@@ -92,6 +104,93 @@ class TestCertification:
             quad = np.real(np.conj(xi) @ sample @ xi)
             assert quad >= A.lam * np.abs(xi @ np.conj(xi)).real - 1e-12
             assert np.abs(sample @ xi).max() <= A.Lam * np.linalg.norm(xi) + 1e-12
+
+
+class TestStorage:
+    """Samples whose imaginary parts are all zero are stored as float64, all
+    others as complex128."""
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_families_are_float64(self, kind):
+        assert generate_family(kind, GRID, MESH).values.dtype == np.float64
+
+    def test_complex_samples_stay_complex(self):
+        holder = generate_family("holder", GRID, MESH, seed=2)
+        A = CoefficientField(GRID, MESH, (1.0 + 0.3j) * holder.values, T=1.0)
+        assert A.values.dtype == np.complex128
+        assert np.array_equal(A.values, (1.0 + 0.3j) * holder.values)
+
+    @pytest.mark.parametrize("dtype", [complex, np.int64])
+    def test_real_input_is_float64(self, dtype):
+        vals = np.arange(1, GRID.n_points + 1)[:, None] * np.ones((1, MESH.n_cells))
+        A = CoefficientField(GRID, MESH, vals.astype(dtype), T=1.0)
+        assert A.values.dtype == np.float64
+        assert np.array_equal(A.values[:, :, 0, 0], vals)
+
+    def test_real_field_round_trip(self, tmp_path):
+        # the file format stays complex128; the loaded field is real again
+        A = generate_family("sqrt_product", GRID, MESH, amp=0.4, space_profile="cosine")
+        prefix = str(tmp_path / "field")
+        _, bpath = save_field(A, prefix)
+        assert os.path.getsize(bpath) == 16 * A.values.size
+        B = load_field(prefix)
+        assert B.values.dtype == np.float64
+        assert B.values.tobytes() == A.values.tobytes()
+        assert np.array([B.lam, B.Lam]).tobytes() == np.array([A.lam, A.Lam]).tobytes()
+
+    def test_complex_field_round_trip(self, tmp_path):
+        holder = generate_family("holder", GRID, MESH, seed=2)
+        A = CoefficientField(GRID, MESH, (1.0 + 0.3j) * holder.values, T=1.0)
+        prefix = str(tmp_path / "field")
+        save_field(A, prefix)
+        B = load_field(prefix)
+        assert B.values.dtype == np.complex128
+        assert B.values.tobytes() == A.values.tobytes()
+
+    def test_mollified_real_field_is_real(self):
+        A = generate_family("holder", GRID, MESH, seed=4, alpha=0.35)
+        assert mollify(A, 8).values.dtype == np.float64
+        C = CoefficientField(GRID, MESH, (1.0 + 0.3j) * A.values, T=1.0)
+        assert mollify(C, 8).values.dtype == np.complex128
+
+
+def slice_reflection(v):
+    """Reference even reflection of samples v on [0, T) to [-T, 2T), by
+    slice assignment."""
+    n = len(v)
+    out = np.empty((3 * n,) + v.shape[1:], dtype=v.dtype)
+    out[n:2 * n] = v                      # [0, T)
+    out[1:n] = v[1:][::-1]                # (-T, 0): A(-t)
+    out[0] = v[n - 1]                     # t = -T
+    out[2 * n + 1:] = v[1:][::-1]         # (T, 2T): A(2T - t)
+    out[2 * n] = v[n - 1]                 # t = T
+    return out
+
+
+class TestExtensionStorage:
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 0.3j])
+    def test_dtype_kept_and_reflection_bitwise(self, scale):
+        holder = generate_family("holder", GRID, MESH, seed=5, alpha=0.4)
+        A = CoefficientField(GRID, MESH, scale * holder.values, T=1.0)
+        flat, full = extend_reflect(A), extend_full(A)
+        assert flat.values.dtype == full.values.dtype == A.values.dtype
+        ref = slice_reflection(A.values)
+        assert flat.values.tobytes() == ref.tobytes()
+        padded = np.zeros_like(full.values)
+        padded[:len(ref)] = ref
+        phi = cutoff_profile(A).values[:, None, None, None]
+        blended = padded * phi + (1.0 - phi) * (A.lam * np.eye(1))
+        assert full.values.tobytes() == blended.tobytes()
+
+    @pytest.mark.parametrize("extend", [extend_reflect, extend_full])
+    def test_each_extension_certified_once(self, monkeypatch, extend):
+        A = generate_family("step", GRID, MESH)
+        certified = []
+        real = coefficients.certify_ellipticity
+        monkeypatch.setattr(coefficients, "certify_ellipticity",
+                            lambda v: certified.append(v.shape) or real(v))
+        ext = extend(A)
+        assert certified == [ext.values.shape]
 
 
 class TestCutoffProfile:
@@ -312,6 +411,26 @@ def test_kind_specific_keys(kind, key):
     base = generate_family(kind, grid, mesh).values
     changed = generate_family(kind, grid, mesh, **{key: KEY_CHANGES[key]}).values
     assert np.array_equal(base, changed) == (key not in KIND_READS[kind])
+
+
+@pytest.mark.parametrize("key", sorted(KEY_CHANGES))
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_kind_specific_keys_reach_the_analyze_report(tmp_path, kind, key):
+    # at small n, a key the kind reads changes its analyze report, and one it
+    # ignores leaves every measured number as it was
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"coefficient": {"kind": kind}, "mesh": {"n_cells": 8},
+                                "time": {"n_points": 64}}))
+
+    def report(*overrides):
+        # every report names the configured seed: compare only what is measured
+        rep = run_analyze(load_config(str(path), list(overrides))).to_dict()
+        for entry in [rep["coefficient"], *rep["seminorms"]]:
+            del entry["seed"]
+        return rep
+
+    changed = report(f"coefficient.{key}={json.dumps(KEY_CHANGES[key])}")
+    assert (report() == changed) == (key not in KIND_READS[kind])
 
 
 class TestColumn:

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxreg.timefourier import (
-    FracOrder,
     GridError,
     TimeGrid,
     TimeSignal,
     UniformGrid,
     fourier_multiplier,
     frac_derivative,
+    frac_order,
     frac_symbol,
     hilbert_symbol,
     hilbert_transform,
@@ -113,9 +113,9 @@ class TestFracDerivative:
 
     def test_rejects_alpha_out_of_range(self):
         with pytest.raises(ValueError):
-            FracOrder(0.0)
+            frac_order(0.0)
         with pytest.raises(ValueError):
-            FracOrder(1.5)
+            frac_order(1.5)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
