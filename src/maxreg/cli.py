@@ -60,6 +60,11 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 SEMINORMS = ("bmo", "half_sobolev", "holder", "dini")
 FORCING_KINDS = ("sine", "zero", "random")
+# Most samples on any time grid, the solve's extended line grid included:
+# 64 times the largest ladder rung and 128 times the largest line window that
+# the tests and the benchmark run.  Larger grids are refused at load, before
+# anything is allocated.
+MAX_GRID_POINTS = 2**20
 
 # One sweep pool per worker count for the whole process.  A fresh pool per sweep
 # may start its threads before the last pool's have released their malloc
@@ -192,6 +197,9 @@ def _check_ranges(cfg: dict) -> dict:
     if c["mollify_width"] < 0:
         raise ConfigError(f"coefficient.mollify_width must be >= 0 cells (0: no "
                           f"mollification), got {c['mollify_width']!r}")
+    for key, seed in (("coefficient.seed", c["seed"]), ("forcing.seed", cfg["forcing"]["seed"])):
+        if seed < 0:
+            raise ConfigError(f"{key} must be >= 0, got {seed!r}")
     value = c["value"]
     if isinstance(value, list) and not (value and all(len(r) == len(value) for r in value)):
         raise ConfigError(f"coefficient.value must be a number or a square matrix, "
@@ -201,6 +209,13 @@ def _check_ranges(cfg: dict) -> dict:
         raise ConfigError(f"time.window_factor must be an integer power of two >= 4, "
                           f"got {wf!r}")
     a = cfg["analysis"]
+    n = cfg["time"]["n_points"]
+    for key, size, value in (("time.n_points", n, n),
+                             ("time.window_factor", n * wf, wf),
+                             *(("analysis.resolutions", r, r) for r in a["resolutions"])):
+        if size > MAX_GRID_POINTS:
+            raise ConfigError(f"{key}: {value!r} makes a time grid of {size} samples; "
+                              f"at most {MAX_GRID_POINTS} are allowed")
     if any(s not in SEMINORMS for s in a["seminorms"]):
         raise ConfigError(f"analysis.seminorms must name only {', '.join(SEMINORMS)}; "
                           f"got {a['seminorms']!r}")

@@ -256,9 +256,12 @@ def _sweep(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     pad = (1,) * (rhs.ndim + 1 - factors.ndim)
     inv_d, mult = factors.reshape(factors.shape + pad)
     y = np.array(rhs, dtype=np.result_type(factors, rhs), order="C")
+    row = np.empty_like(y[0])       # each row update lands here, not in a temporary
     for k in range(y.shape[0] - 1):
-        y[k + 1] -= mult[k] * y[k]
+        np.multiply(mult[k], y[k], out=row)
+        y[k + 1] -= row
     y *= inv_d
     for k in range(y.shape[0] - 2, -1, -1):
-        y[k] -= mult[k] * y[k + 1]
+        np.multiply(mult[k], y[k + 1], out=row)
+        y[k] -= row
     return y

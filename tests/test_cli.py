@@ -491,6 +491,8 @@ class TestConfigSchema:
         'coefficient.space_profile="wavy"', 'mesh.bc_left="robin"', 'mesh.bc_right="robin"',
         "mesh.x_hi=Infinity", "time.T=NaN", "coefficient.t0=-Infinity",
         "coefficient.amp=NaN", "coefficient.value=[[Infinity]]",
+        "coefficient.seed=-1", "forcing.seed=-1", "time.n_points=1099511627776",
+        "time.window_factor=1099511627776", "analysis.resolutions=[1099511627776]",
     ])
     @pytest.mark.parametrize("command", ["solve", "analyze", "sweep"])
     def test_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, item):
@@ -510,6 +512,24 @@ class TestConfigSchema:
         forbid_runs(monkeypatch)
         code = run_cli("solve", "sqrt-product", "--set", item, outdir=tmp_path)
         assert_rejected(code, capsys.readouterr().err, item.partition("=")[0])
+
+    def test_grid_size_bound_at_load(self, monkeypatch):
+        # the bound holds on the native grid, the solve's line grid and every
+        # ladder rung; nothing at or below it is refused
+        forbid_runs(monkeypatch)
+        path, top = bundled_config_path("sqrt-product"), cli.MAX_GRID_POINTS
+        cfg = cli.load_config(path, [f"time.n_points={top // 4}", "time.window_factor=4",
+                                     f"analysis.resolutions=[{top}]"])
+        assert cfg["time"]["n_points"] * cfg["time"]["window_factor"] == top
+        for items, key in (([f"time.n_points={2 * top}"], "time.n_points"),
+                           ([f"time.n_points={top // 4}", "time.window_factor=8"],
+                            "time.window_factor"),
+                           ([f"analysis.resolutions=[8, {2 * top}]"], "analysis.resolutions")):
+            with pytest.raises(cli.ConfigError, match=key):
+                cli.load_config(path, items)
+        point = cli._sweep_point(cli.load_config(path), "resolution", 2 * top)
+        assert point["error_type"] == "ConfigError"
+        assert "time.n_points" in point["error"]
 
     def test_whole_section_set_merges(self):
         cfg = cli.load_config(bundled_config_path("sqrt-product"),

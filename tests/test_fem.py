@@ -28,6 +28,20 @@ from maxreg.fem import (
 BCS = st.sampled_from(["dirichlet", "neumann"])
 
 
+def sweep_reference(factors, rhs):
+    """The sweep of `batched_tridiag_solve` as it was written before its row
+    updates went through one preallocated buffer: one temporary per row."""
+    pad = (1,) * (rhs.ndim + 1 - factors.ndim)
+    inv_d, mult = factors.reshape(factors.shape + pad)
+    y = np.array(rhs, dtype=np.result_type(factors, rhs), order="C")
+    for k in range(y.shape[0] - 1):
+        y[k + 1] -= mult[k] * y[k]
+    y *= inv_d
+    for k in range(y.shape[0] - 2, -1, -1):
+        y[k] -= mult[k] * y[k + 1]
+    return y
+
+
 def loop_band(mesh, diag, off):
     """Free-dof restriction as a per-row loop: the reference for the slice."""
     mask = mesh.free_mask
@@ -251,3 +265,38 @@ class TestBatchedTridiag:
         for k in range(batch):
             ref = np.linalg.solve(z[k] * M + K, rhs[:, k])
             assert np.abs(got[:, k] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @given(st.integers(4, 24), BCS, BCS, st.integers(1, 8), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_bitwise_equal_to_temporaries(self, n_cells, bc_left, bc_right, batch,
+                                                seed):
+        # the mode-batched solve: one factored system per trailing index
+        m = SpaceMesh(0.0, 1.0, n_cells, bc_left, bc_right)
+        rng = np.random.default_rng(seed)
+        a = 0.1 + rng.random(n_cells)
+        z = rng.uniform(0.01, 2.0, batch) + 1j * rng.uniform(-50.0, 50.0, batch)
+        factors = tridiag_factor(shifted_bands(m, z, a))
+        rhs = rng.standard_normal((m.n_dofs, batch)) + 1j * rng.standard_normal((m.n_dofs, batch))
+        got = batched_tridiag_solve(factors, rhs)
+        assert np.array_equal(got, sweep_reference(factors, rhs))
+        assert got.dtype == np.complex128
+
+    @given(st.integers(4, 24), BCS, BCS,
+           st.sampled_from([(), (5,), (3, 4)]), st.booleans(), st.booleans(),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_mass_solve_bitwise_equal_to_temporaries(self, n_cells, bc_left, bc_right, lead,
+                                                     complex_rhs, fortran, seed):
+        # mass_solve broadcasts one factored system over every leading index
+        m = SpaceMesh(0.0, 1.0, n_cells, bc_left, bc_right)
+        rng = np.random.default_rng(seed)
+        rhs = rng.standard_normal(lead + (m.n_dofs,))
+        if complex_rhs:
+            rhs = rhs + 1j * rng.standard_normal(rhs.shape)
+        if fortran:
+            rhs = np.asfortranarray(rhs)
+        factors = tridiag_factor(mass_banded(m))
+        ref = np.moveaxis(sweep_reference(factors, np.moveaxis(rhs, -1, 0)), 0, -1)
+        got = mass_solve(m, rhs)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)

@@ -1,6 +1,7 @@
 """Hidden-coercivity space-time solver: line solves, the Cauchy pipeline,
 and the time-stepping cross-checks."""
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,48 @@ class TestSolveLine:
         assert calls["stiffness_apply"] > 0
         assert 0 <= calls["fft"] - 2 * calls["stiffness_apply"] <= 3
         assert calls["mass_solve"] <= 1
+
+
+def hard_case(name, n=128, n_cells=32):
+    """Coefficient, forcing and window of a line solve that needs many
+    iterations: the preconditioner's mean coefficient is far from A(t)."""
+    grid = TimeGrid(0.0, 1.0, n)
+    mesh = SpaceMesh(0.0, 1.0, n_cells, "neumann" if name == "neumann" else "dirichlet")
+    if name == "complex_holder":
+        holder = generate_family("holder", grid, mesh, amp=0.9, alpha=0.2, seed=3)
+        A = CoefficientField(grid, mesh, (1.0 + 0.8j) * holder.scalar_cells(), T=holder.T)
+    else:
+        A = generate_family("step", grid, mesh, amp=1.9 if name == "step" else 1.5, seed=3)
+    return A, sine_forcing(grid, mesh), 8 if name == "window8" else 4
+
+
+class TestRestartedGmres:
+    def test_line_solve_peak_is_a_few_krylov_vectors(self):
+        # one vector of the time spectrum takes 16 * n_t * n_dofs bytes.  With
+        # GMRES_RESTART = 6 the basis holds 7 of them and the whole solve
+        # peaks near 18 (factors, operands and matvec temporaries make the
+        # rest); scipy's default 21-vector basis peaks near 32
+        A = generate_family("step", WGRID, MESH, seed=3)
+        f = sine_forcing(WGRID)
+        solve_line(A, f)
+        tracemalloc.start()
+        try:
+            _, diag = solve_line(A, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.iterations > solver.GMRES_RESTART
+        assert peak <= 20 * 16 * WGRID.n_points * MESH.n_dofs
+
+    @pytest.mark.filterwarnings("ignore:wrap-around guard band")
+    @pytest.mark.parametrize("name", ["step", "complex_holder", "neumann", "window8"])
+    def test_hard_cases_converge(self, name):
+        # step: amp 1.9; complex_holder: (1 + 0.8j) times a rough holder field;
+        # neumann: a Neumann left end; window8: an 8T line window
+        A, f, window = hard_case(name)
+        res = cauchy_solve(A, f, window_factor=window, tol=1e-9)
+        assert res.diagnostics.iterations > 3 * solver.GMRES_RESTART
+        assert res.diagnostics.residual <= 1e-9
 
 
 class TestCauchySolve:
