@@ -17,12 +17,11 @@ from .timefourier import (TimeGrid, TimeSignal, frac_derivative, frac_order,
                           hilbert_transform, time_inner_product,
                           twist_inverse, twist_operator)
 from .bmo import (IntervalFamily, SeminormValue, bmo_seminorm, dini_integral,
-                  dini_verdict, dyadic_family, frac_sobolev_seminorm,
-                  holder_constant, refinement_verdict,
-                  scale_invariant_half_sobolev)
-from .coefficients import (CoefficientField, CutoffProfile, certify_ellipticity,
-                           extend_full, extend_reflect, generate_family,
-                           load_field, mollify, save_field)
+                  dini_verdict, dyadic_family, holder_constant,
+                  refinement_verdict, scale_invariant_half_sobolev)
+from .coefficients import (CoefficientField, certify_ellipticity, extend_full,
+                           extend_reflect, generate_family, load_field,
+                           mollify, save_field)
 from .fem import SpaceMesh
 from .norms import (SpaceTimeField, energy_norm, l2h_norm, maxreg_ratio,
                     sobolev_norm, zero_field)

@@ -2,13 +2,13 @@
 
 Implements the comparison ladder: BMO seminorm, the scale-invariant
 half-Sobolev functional (the solvability condition of the toolkit),
-plain fractional L2-Sobolev seminorms, Hoelder constants, and Dini
-integrals, plus divergence detection under grid refinement.
+Hoelder constants, and Dini integrals, plus divergence detection under grid
+refinement.
 
-The pairwise functionals (half-Sobolev, fractional Sobolev, Hoelder, Dini)
-share one lag-blocked kernel, `_lag_blocks`: the ratios |f(t+m) - f(t)|^2 /
-m^p come a block of lags at a time, so memory is O(n) and no n x n matrix is
-ever formed.  Matrix-valued inputs are reduced pointwise with the maximum
+The pairwise functionals (half-Sobolev, Hoelder, Dini) share one
+lag-blocked kernel, `_lag_blocks`: the ratios |f(t+m) - f(t)|^2 / m^p come a
+block of lags at a time, so memory is O(n) and no n x n matrix is ever
+formed.  Matrix-valued inputs are reduced pointwise with the maximum
 over entries.  Double integrals omit the diagonal cell; for Lipschitz samples
 the omitted mass is O(dt).
 
@@ -119,9 +119,6 @@ class SeminormValue:
     value: float
     achieving_interval: tuple[float, float] | None = None
     extra: dict = field(default_factory=dict)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # Elements per block of _lag_blocks and per vectorised gather: 512 KiB of
@@ -406,29 +403,6 @@ def _prefix_box_sums(g: np.ndarray, t: np.ndarray, starts: np.ndarray,
     return np.where(starts > 0, s_bb - (s_ab + s_ba - s_aa), s_bb)
 
 
-def frac_sobolev_seminorm(
-    f: TimeSignal, a: float, window: tuple[float, float] | None = None
-) -> SeminormValue:
-    """iint |f(t)-f(s)|^2/|t-s|^(2a+1) over window x window (no sup, no 1/l)."""
-    alpha = frac_order(a)
-    if not (alpha < 1.0):
-        raise ValueError("fractional Sobolev seminorm needs alpha in (0, 1)")
-    if window is None:
-        i0, i1 = 0, f.n
-    else:
-        i0 = f.grid.index_of(window[0])
-        i1 = f.grid.index_of(window[1]) if window[1] < f.grid.t_end else f.n
-        if i1 - i0 < 2:
-            raise FamilyError("degenerate window")
-    g, t = f.values.reshape(f.n, -1)[i0:i1], f.grid.points[i0:i1]
-    total = sum(float(R.sum()) for _, R in _lag_blocks(g, t, 2.0 * alpha + 1.0))
-    dt = f.grid.dt
-    val = 2.0 * total * dt * dt
-    w0 = f.grid.t_start + i0 * dt
-    w1 = f.grid.t_start + i1 * dt
-    return SeminormValue(val, achieving_interval=(w0, w1))
-
-
 # Relative margin on the block bounds of `holder_constant`: far above the few
 # ulps by which a computed ratio can exceed its bound (|.| of a complex
 # difference and the power are each rounded once), far below any real gap.
@@ -512,21 +486,17 @@ def check_dini_exponent(q: float) -> None:
         raise ValueError(f"Dini exponent must lie in [1, 2], got {q}")
 
 
-def dini_integral(
-    f: TimeSignal, q: float, horizon: float | None = None
-) -> SeminormValue:
-    """int_0^T sup_s |f(t+s)-f(s)|^q dt / t^(1+q/2), truncated below at one cell.
+def dini_integral(f: TimeSignal, q: float) -> SeminormValue:
+    """int_0^T sup_s |f(t+s)-f(s)|^q dt / t^(1+q/2), truncated below at one
+    cell: the lags m = 1 .. n - 1.
 
     The per-octave increments of the lag sum are stored in extra["octave_increments"]
     (finest lag octave first); they drive the divergence detector.
     """
     check_dini_exponent(q)
-    n, dt = f.n, f.grid.dt
-    if horizon is None:
-        horizon = f.grid.period
-    m_max = min(n - 1, int(round(horizon / dt)))
+    dt, m_max = f.grid.dt, f.n - 1
     sup = np.empty(m_max)
-    for lags, R in _lag_blocks(f.values.reshape(f.n, -1), f.grid.points, 0.0, max_lag=m_max):
+    for lags, R in _lag_blocks(f.values.reshape(f.n, -1), f.grid.points, 0.0):
         sup[lags - 1] = np.sqrt(R.max(axis=1))
     lags = np.arange(1, m_max + 1)
     weights = dt / ((lags * dt) ** (1.0 + q / 2.0))
@@ -539,7 +509,7 @@ def dini_integral(
         lo, hi = (1 << j) - 1, min((1 << (j + 1)) - 1, m_max)
         incs.append(float(terms[lo:hi].sum()))
         j += 1
-    best = int(np.argmax(terms)) if m_max else 0
+    best = int(np.argmax(terms))
     return SeminormValue(
         value,
         achieving_interval=(0.0, float((best + 1) * dt)),
@@ -567,37 +537,27 @@ def refinement_verdict(values: list[float], threshold: float = 1.25) -> Divergen
     return DivergenceVerdict(all(f >= threshold for f in factors), factors)
 
 
-def increment_slope_verdict(
-    increments: list[float], min_octaves: int = 4, slope_threshold: float = 0.05
-) -> DivergenceVerdict:
-    """Divergence test for singular integrals computed as sums of per-octave
-    increments on a single fine grid (used for Dini integrals).
-
-    Increments are ordered finest octave first.  Refining the grid extends the
-    sum at the fine end, so the integral converges under refinement iff the
-    increments decay toward the fine end, i.e. iff log2(increment) grows in the
-    octave index.  Logarithmic divergence shows up as a flat profile.  We fit
-    log2(increment) against octave index over the finest octaves — skipping
-    the two finest, which carry the one-cell quadrature-truncation spike —
-    and flag divergence when the slope is <= slope_threshold.
-    """
-    inc = np.asarray([max(v, 0.0) for v in increments], dtype=float)
-    skip = 2
-    if len(inc) < min_octaves + skip or not np.all(inc[: min_octaves + skip] > 0):
-        return DivergenceVerdict(False, [])
-    k = max(min_octaves + skip, (len(inc) * 2) // 3)  # finest two thirds; coarse lags saturate
-    head = inc[skip:k]
-    head = head[head > 0]
-    x = np.arange(len(head), dtype=float)
-    y = np.log2(head)
-    slope = float(np.polyfit(x, y, 1)[0])
-    return DivergenceVerdict(slope <= slope_threshold, [slope])
-
-
 def dini_verdict(sem: SeminormValue) -> DivergenceVerdict:
     """Divergence verdict for a dini_integral result via its octave increments.
 
     Octave j covers lags in [2^j, 2^(j+1)) grid cells, finest first; grid
-    refinement extends the list at the fine end.
+    refinement extends the list at the fine end, so the integral converges
+    under refinement iff the increments decay toward the fine end, i.e. iff
+    log2(increment) grows in the octave index.  Logarithmic divergence shows
+    up as a flat profile.  We fit log2(increment) against octave index over
+    the finest octaves — skipping the two finest, which carry the one-cell
+    quadrature-truncation spike — and flag divergence when the slope is
+    <= 0.05.
     """
-    return increment_slope_verdict(sem.extra.get("octave_increments", []))
+    inc = np.asarray([max(v, 0.0) for v in sem.extra.get("octave_increments", [])],
+                     dtype=float)
+    # the two skipped octaves and at least 4 fitted ones, all positive
+    if len(inc) < 6 or not np.all(inc[:6] > 0):
+        return DivergenceVerdict(False, [])
+    k = max(6, (len(inc) * 2) // 3)  # finest two thirds; coarse lags saturate
+    head = inc[2:k]
+    head = head[head > 0]
+    x = np.arange(len(head), dtype=float)
+    y = np.log2(head)
+    slope = float(np.polyfit(x, y, 1)[0])
+    return DivergenceVerdict(slope <= 0.05, [slope])

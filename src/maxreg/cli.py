@@ -37,7 +37,6 @@ from .bmo import (
 from .coefficients import (
     FAMILY_KINDS,
     SPACE_PROFILES,
-    CoefficientError,
     CoefficientField,
     extend_full,
     extend_reflect,
@@ -47,12 +46,11 @@ from .coefficients import (
     save_field,
 )
 from .commutators import commutator_norm_estimate
-from .fem import DIRICHLET, NEUMANN, MeshError, SpaceMesh
+from .fem import DIRICHLET, NEUMANN, SpaceMesh
 from .norms import SpaceTimeField, l2h_norm, l2v_grad_norm, maxreg_ratio, sobolev_norm
 from .report import RegularityReport, SeminormRow, emit_report
 from .solver import SolverError, autonomous_oracle, cauchy_solve
-from .timefourier import (GridError, SignalError, TimeGrid, TimeSignal, frac_derivative,
-                          frac_order)
+from .timefourier import TimeGrid, TimeSignal, frac_derivative, frac_order
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -60,10 +58,11 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 SEMINORMS = ("bmo", "half_sobolev", "holder", "dini")
 FORCING_KINDS = ("sine", "zero", "random")
-# Most samples on any time grid, the solve's extended line grid included:
-# 64 times the largest ladder rung and 128 times the largest line window that
-# the tests and the benchmark run.  Larger grids are refused at load, before
-# anything is allocated.
+# Most points on any grid: every time grid, the solve's extended line grid
+# included, and the spatial mesh's cells.  64 times the largest ladder rung
+# and 128 times the largest line window that the tests and the benchmark run.
+# Larger grids are refused at load, before anything is allocated.  The bound
+# holds per grid, not for the product n_points * window_factor * n_cells.
 MAX_GRID_POINTS = 2**20
 
 # One sweep pool per worker count for the whole process.  A fresh pool per sweep
@@ -197,9 +196,14 @@ def _check_ranges(cfg: dict) -> dict:
     if c["mollify_width"] < 0:
         raise ConfigError(f"coefficient.mollify_width must be >= 0 cells (0: no "
                           f"mollification), got {c['mollify_width']!r}")
-    for key, seed in (("coefficient.seed", c["seed"]), ("forcing.seed", cfg["forcing"]["seed"])):
-        if seed < 0:
-            raise ConfigError(f"{key} must be >= 0, got {seed!r}")
+    for key, value, least in (("coefficient.seed", c["seed"], 0),
+                              ("forcing.seed", cfg["forcing"]["seed"], 0),
+                              ("mesh.n_cells", m["n_cells"], 4)):
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value!r}")
+    if not m["x_hi"] > m["x_lo"]:
+        raise ConfigError(f"mesh.x_hi must exceed mesh.x_lo = {m['x_lo']!r}, "
+                          f"got {m['x_hi']!r}")
     value = c["value"]
     if isinstance(value, list) and not (value and all(len(r) == len(value) for r in value)):
         raise ConfigError(f"coefficient.value must be a number or a square matrix, "
@@ -212,20 +216,23 @@ def _check_ranges(cfg: dict) -> dict:
     n = cfg["time"]["n_points"]
     for key, size, value in (("time.n_points", n, n),
                              ("time.window_factor", n * wf, wf),
+                             ("mesh.n_cells", m["n_cells"], m["n_cells"]),
                              *(("analysis.resolutions", r, r) for r in a["resolutions"])):
         if size > MAX_GRID_POINTS:
-            raise ConfigError(f"{key}: {value!r} makes a time grid of {size} samples; "
+            raise ConfigError(f"{key}: {value!r} makes a grid of {size} points; "
                               f"at most {MAX_GRID_POINTS} are allowed")
     if any(s not in SEMINORMS for s in a["seminorms"]):
         raise ConfigError(f"analysis.seminorms must name only {', '.join(SEMINORMS)}; "
                           f"got {a['seminorms']!r}")
-    for key, value in (("solver.tolerance", cfg["solver"]["tolerance"]),
+    for key, value in (("time.T", cfg["time"]["T"]),
+                       ("solver.tolerance", cfg["solver"]["tolerance"]),
                        ("analysis.divergence_threshold", a["divergence_threshold"])):
         if value <= 0.0:
             raise ConfigError(f"{key} must be a positive number, got {value!r}")
     for key, valid, values in (
             ("analysis.holder_alpha", frac_order, [a["holder_alpha"]]),
             ("analysis.dini_q", check_dini_exponent, a["dini_q"]),
+            ("time.n_points", lambda n: TimeGrid(0.0, 1.0, n), [n]),
             ("analysis.resolutions", lambda n: TimeGrid(0.0, 1.0, n), a["resolutions"])):
         for v in values:
             try:
@@ -608,8 +615,7 @@ def main(argv: list[str] | None = None) -> int:
             record.update(dataclasses.asdict(exc.diagnostics))
         print(json.dumps(record, default=str), file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigError, CoefficientError, MeshError, GridError, SignalError,
-            ValueError) as exc:
+    except ValueError as exc:   # ConfigError and every layer's input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

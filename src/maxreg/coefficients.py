@@ -122,19 +122,13 @@ def certify_ellipticity(A: CoefficientField | np.ndarray) -> tuple[float, float]
     return lam_hat, Lam_hat
 
 
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Linear cutoff: 1 on [0, T], 0 outside [-T/2, 3T/2], Lipschitz 2/T."""
-
-    T: float
-    grid: TimeGrid
-
-    @property
-    def values(self) -> np.ndarray:
-        t, T = self.grid.points, self.T
-        left = 1.0 + 2.0 * t / T          # ramp on [-T/2, 0]
-        right = 1.0 - 2.0 * (t - T) / T   # ramp on [T, 3T/2]
-        return np.clip(np.minimum(left, right), 0.0, 1.0)
+def cutoff_profile(grid: UniformGrid, T: float) -> np.ndarray:
+    """Linear cutoff on the grid's points: 1 on [0, T], 0 outside
+    [-T/2, 3T/2], Lipschitz 2/T."""
+    t = grid.points
+    left = 1.0 + 2.0 * t / T          # ramp on [-T/2, 0]
+    right = 1.0 - 2.0 * (t - T) / T   # ramp on [T, 3T/2]
+    return np.clip(np.minimum(left, right), 0.0, 1.0)
 
 
 def _check_base_window(A: CoefficientField):
@@ -174,20 +168,14 @@ def extend_full(A: CoefficientField, window_factor: int = 4) -> CoefficientField
     _check_base_window(A)
     if window_factor < 4:
         raise CoefficientError("window must cover [-T, 3T] at least")
-    cutoff = cutoff_profile(A, window_factor)
-    d = A.dim
-    out = np.zeros((cutoff.grid.n_points,) + A.values.shape[1:], dtype=A.values.dtype)
+    grid = TimeGrid(-A.T, (window_factor - 1) * A.T, window_factor * A.n_t)
+    out = np.zeros((grid.n_points,) + A.values.shape[1:], dtype=A.values.dtype)
     _reflect(A.values, out=out[: 3 * A.n_t])   # zero beyond the reflected block
     # blended in place, so the certificate's scratch is the only copy made
-    phi = cutoff.values[:, None, None, None]
+    phi = cutoff_profile(grid, A.T)[:, None, None, None]
     out *= phi
-    out += (1.0 - phi) * (A.lam * np.eye(d))
-    return replace(A, time_grid=cutoff.grid, values=out, kind=A.kind + "+extend")
-
-
-def cutoff_profile(A: CoefficientField, window_factor: int = 4) -> CutoffProfile:
-    grid = TimeGrid(-A.T, (window_factor - 1) * A.T, window_factor * A.n_t)
-    return CutoffProfile(A.T, grid)
+    out += (1.0 - phi) * (A.lam * np.eye(A.dim))
+    return replace(A, time_grid=grid, values=out, kind=A.kind + "+extend")
 
 
 def mollifier_kernel(grid: TimeGrid, n: int) -> np.ndarray:

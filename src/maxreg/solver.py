@@ -198,8 +198,7 @@ def cauchy_solve(
     overflow.  v vanishes on (-inf, 0]; its sampled norm at t = 0 is reported
     as a discretization check.
     """
-    if not f.time_grid.compatible(A.time_grid) or f.mesh != A.mesh:
-        raise GridError("data and coefficient live on different grids")
+    _check_setup(f, A)
     if window_factor < 4:
         raise SolverError("window must cover [-T, 3T] at least; refusing smaller")
     n = A.n_t
@@ -232,17 +231,12 @@ def cauchy_solve(
                         diagnostics=diag)
 
 
-def timestep_reference(
-    A: CoefficientField,
-    f: SpaceTimeField,
-    theta: complex = 0.0,
-    lipschitz_check: bool = True,
-) -> SpaceTimeField:
+def timestep_reference(A: CoefficientField, f: SpaceTimeField,
+                       theta: complex = 0.0) -> SpaceTimeField:
     """Crank-Nicolson reference for u' + theta u + A(t)u = f on [0, T),
     u(0) = 0, same spatial discretization.  Intended for Lipschitz-in-time
     coefficients; mollify rough ones first."""
-    if not f.time_grid.compatible(A.time_grid) or f.mesh != A.mesh:
-        raise GridError("data and coefficient live on different grids")
+    _check_setup(f, A)
     mesh, grid = f.mesh, f.time_grid
     nt, nd = grid.n_points, mesh.n_dofs
     dt = grid.dt
@@ -262,13 +256,12 @@ def timestep_reference(
         *_, u[j + 1], info = scipy.linalg.lapack.zgtsv(off, lhs[0, j], off, rhs)
         if info != 0:
             raise SolverError(f"Crank-Nicolson step {j} is singular (zgtsv info={info})")
-        if lipschitz_check:
-            nj = np.sqrt(max(fem.h_inner(mesh, u[j], u[j]).real, 0.0))
-            nj1 = np.sqrt(max(fem.h_inner(mesh, u[j + 1], u[j + 1]).real, 0.0))
-            if nj1 > 1.0001 * (nj + dt * fmax):
-                raise SolverError(
-                    f"energy growth detected at step {j}: "
-                    f"{nj1:.3e} > {nj:.3e} + dt*||f||; step size rejected")
+        nj = np.sqrt(max(fem.h_inner(mesh, u[j], u[j]).real, 0.0))
+        nj1 = np.sqrt(max(fem.h_inner(mesh, u[j + 1], u[j + 1]).real, 0.0))
+        if nj1 > 1.0001 * (nj + dt * fmax):
+            raise SolverError(
+                f"energy growth detected at step {j}: "
+                f"{nj1:.3e} > {nj:.3e} + dt*||f||; step size rejected")
     return SpaceTimeField(grid, mesh, u)
 
 

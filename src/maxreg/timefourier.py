@@ -67,13 +67,6 @@ class UniformGrid:
             and np.isclose(self.t_end, other.t_end)
         )
 
-    def index_of(self, t: float) -> int:
-        """Index of the grid point closest to t (must lie on the grid)."""
-        j = int(round((t - self.t_start) / self.dt))
-        if not (0 <= j < self.n_points) or abs(self.t_start + j * self.dt - t) > 1e-9 * max(1.0, self.period):
-            raise GridError(f"t={t} is not a grid point of {self}")
-        return j
-
 
 @dataclass(frozen=True)
 class TimeGrid(UniformGrid):

@@ -13,7 +13,6 @@ from maxreg.bmo import (
     dini_integral,
     dini_verdict,
     dyadic_family,
-    frac_sobolev_seminorm,
     holder_constant,
     refinement_verdict,
     scale_invariant_half_sobolev,
@@ -178,31 +177,14 @@ class TestScaleInvariantHalfSobolev:
         assert res.achieving_interval == (0.0, 1.0)
 
     def test_definitional_identity_with_frac_sobolev(self):
-        # full-window (Ass A) value == frac_sobolev(1/2) / l exactly
+        # full-window (Ass A) value == the fractional Sobolev (1/2) double
+        # integral over the window / l exactly
         g = TimeGrid(0.0, 1.0, 512)
         f = sig(g, lambda t: np.sin(2 * np.pi * t) + t**2)
         fam = IntervalFamily(g, ((0, g.n_points),))
         lhs = scale_invariant_half_sobolev(f, fam).value
-        rhs = frac_sobolev_seminorm(f, 0.5, (0.0, 1.0)).value / g.period
+        rhs = dense_frac_sobolev(f, 0.5, 0, g.n_points) / g.period
         assert abs(lhs - rhs) <= 1e-12 * max(lhs, 1.0)
-
-
-class TestFracSobolev:
-    def test_constant_is_zero(self):
-        g = TimeGrid(0.0, 1.0, 128)
-        assert frac_sobolev_seminorm(const(g), 0.5).value == 0.0
-
-    def test_smooth_increasing_in_alpha(self):
-        g = TimeGrid(0.0, 1.0, 512)
-        f = sig(g, lambda t: np.sin(2 * np.pi * t))
-        vals = [frac_sobolev_seminorm(f, a).value for a in (0.25, 0.5, 0.75)]
-        assert all(np.isfinite(vals))
-        assert vals[0] < vals[1] < vals[2]
-
-    def test_rejects_alpha_one(self):
-        g = TimeGrid(0.0, 1.0, 128)
-        with pytest.raises(ValueError):
-            frac_sobolev_seminorm(const(g), 1.0)
 
 
 class TestHolderConstant:
@@ -461,17 +443,6 @@ class TestLagKernelMatchesDense:
         value, interval = dense_half_sobolev(f, fam)
         assert close(res.value, value)
         assert res.achieving_interval == interval
-
-    @given(st.data(), st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
-    @settings(max_examples=60, deadline=None)
-    def test_frac_sobolev_window(self, data, alpha):
-        f = data.draw(signals())
-        i0 = data.draw(st.integers(0, f.n - 2))
-        i1 = data.draw(st.integers(i0 + 2, f.n))
-        t = f.grid.points
-        window = (t[i0], t[i1] if i1 < f.n else f.grid.t_end)
-        got = frac_sobolev_seminorm(f, alpha, window).value
-        assert close(got, dense_frac_sobolev(f, alpha, i0, i1))
 
     @given(st.data(), st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.6, 1.0]))
     @settings(max_examples=80, deadline=None)

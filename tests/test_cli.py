@@ -493,6 +493,8 @@ class TestConfigSchema:
         "coefficient.amp=NaN", "coefficient.value=[[Infinity]]",
         "coefficient.seed=-1", "forcing.seed=-1", "time.n_points=1099511627776",
         "time.window_factor=1099511627776", "analysis.resolutions=[1099511627776]",
+        "time.n_points=100", "mesh.n_cells=2", "mesh.n_cells=1099511627776", "time.T=0",
+        "mesh.x_hi=-1",
     ])
     @pytest.mark.parametrize("command", ["solve", "analyze", "sweep"])
     def test_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, item):
@@ -514,17 +516,19 @@ class TestConfigSchema:
         assert_rejected(code, capsys.readouterr().err, item.partition("=")[0])
 
     def test_grid_size_bound_at_load(self, monkeypatch):
-        # the bound holds on the native grid, the solve's line grid and every
-        # ladder rung; nothing at or below it is refused
+        # the bound holds on the native grid, the solve's line grid, every
+        # ladder rung and the mesh; nothing at or below it is refused
         forbid_runs(monkeypatch)
         path, top = bundled_config_path("sqrt-product"), cli.MAX_GRID_POINTS
         cfg = cli.load_config(path, [f"time.n_points={top // 4}", "time.window_factor=4",
-                                     f"analysis.resolutions=[{top}]"])
+                                     f"analysis.resolutions=[{top}]", f"mesh.n_cells={top}"])
         assert cfg["time"]["n_points"] * cfg["time"]["window_factor"] == top
+        assert cfg["mesh"]["n_cells"] == top
         for items, key in (([f"time.n_points={2 * top}"], "time.n_points"),
                            ([f"time.n_points={top // 4}", "time.window_factor=8"],
                             "time.window_factor"),
-                           ([f"analysis.resolutions=[8, {2 * top}]"], "analysis.resolutions")):
+                           ([f"analysis.resolutions=[8, {2 * top}]"], "analysis.resolutions"),
+                           ([f"mesh.n_cells={2 * top}"], "mesh.n_cells")):
             with pytest.raises(cli.ConfigError, match=key):
                 cli.load_config(path, items)
         point = cli._sweep_point(cli.load_config(path), "resolution", 2 * top)

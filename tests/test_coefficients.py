@@ -14,7 +14,6 @@ from maxreg.coefficients import (
     FAMILY_KINDS,
     CoefficientField,
     CoefficientError,
-    CutoffProfile,
     NotElliptic,
     certify_ellipticity,
     cutoff_profile,
@@ -178,7 +177,7 @@ class TestExtensionStorage:
         assert flat.values.tobytes() == ref.tobytes()
         padded = np.zeros_like(full.values)
         padded[:len(ref)] = ref
-        phi = cutoff_profile(A).values[:, None, None, None]
+        phi = cutoff_profile(full.time_grid, A.T)[:, None, None, None]
         blended = padded * phi + (1.0 - phi) * (A.lam * np.eye(1))
         assert full.values.tobytes() == blended.tobytes()
 
@@ -196,16 +195,16 @@ class TestExtensionStorage:
 class TestCutoffProfile:
     def test_shape(self):
         A = generate_family("constant", GRID, MESH)
-        phi = cutoff_profile(A)
-        t = phi.grid.points
-        assert np.all(phi.values[(t >= 0.0) & (t <= 1.0)] == 1.0)
-        assert np.all(phi.values[(t <= -0.5) | (t >= 1.5)] == 0.0)
-        assert phi.values.min() >= 0.0 and phi.values.max() <= 1.0
+        grid = extend_full(A).time_grid
+        phi, t = cutoff_profile(grid, A.T), grid.points
+        assert np.all(phi[(t >= 0.0) & (t <= 1.0)] == 1.0)
+        assert np.all(phi[(t <= -0.5) | (t >= 1.5)] == 0.0)
+        assert phi.min() >= 0.0 and phi.max() <= 1.0
 
     def test_lipschitz_constant(self):
         A = generate_family("constant", GRID, MESH)
-        phi = cutoff_profile(A)
-        slope = np.abs(np.diff(phi.values)) / phi.grid.dt
+        grid = extend_full(A).time_grid
+        slope = np.abs(np.diff(cutoff_profile(grid, A.T))) / grid.dt
         assert slope.max() <= 2.0 / A.T + 1e-12
 
 
@@ -262,8 +261,9 @@ class TestExtendFull:
     def test_identity_on_original_window(self):
         A = generate_family("holder", GRID, MESH, seed=9, alpha=0.35)
         An = extend_full(A)
-        idx = [An.time_grid.index_of(t) for t in GRID.points]
-        assert np.array_equal(An.values[idx], A.values)
+        n = A.n_t
+        assert np.allclose(An.time_grid.points[n:2 * n], GRID.points, rtol=0.0, atol=1e-12)
+        assert np.array_equal(An.values[n:2 * n], A.values)
 
     def test_certificate_preserved(self):
         A = generate_family("step", GRID, MESH)
