@@ -29,7 +29,7 @@ T = 1.0
 
 def sine_forcing(grid, time_profile=None):
     prof = np.sin(np.pi * mesh.nodes[mesh.free_mask])
-    vals = np.broadcast_to(prof, (grid.n_points, mesh.n_dofs)).astype(complex).copy()
+    vals = np.broadcast_to(prof, (grid.n_points, mesh.n_dofs)).copy()
     if time_profile is not None:
         vals *= time_profile(grid.points)[:, None]
     return SpaceTimeField(grid, mesh, vals)

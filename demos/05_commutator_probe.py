@@ -50,7 +50,7 @@ solver_mesh = SpaceMesh(0.0, 1.0, 32)
 grid = TimeGrid(-1.0, 3.0, 512)
 fvals = (np.cos(2 * np.pi * grid.points / grid.period)[:, None]
          * np.sin(np.pi * solver_mesh.nodes[solver_mesh.free_mask])[None, :])
-f = SpaceTimeField(grid, solver_mesh, fvals.astype(complex))
+f = SpaceTimeField(grid, solver_mesh, fvals)
 for label, A in (
     ("constant", generate_family("constant", grid, solver_mesh)),
     ("lipschitz", generate_family("lipschitz", grid, solver_mesh, seed=1)),

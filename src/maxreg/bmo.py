@@ -523,7 +523,7 @@ def dini_integral(f: TimeSignal, q: float) -> SeminormValue:
 
 @dataclass
 class DivergenceVerdict:
-    divergent: bool
+    divergent: bool | None      # None: not measurable on this grid
     growth_factors: list[float]
 
 
@@ -547,12 +547,17 @@ def dini_verdict(sem: SeminormValue) -> DivergenceVerdict:
     up as a flat profile.  We fit log2(increment) against octave index over
     the finest octaves — skipping the two finest, which carry the one-cell
     quadrature-truncation spike — and flag divergence when the slope is
-    <= 0.05.
+    <= 0.05.  Fewer than six octaves (n < 64) cannot be fitted: the verdict
+    is then None, unless every increment is zero (the integral is exactly 0).
     """
     inc = np.asarray([max(v, 0.0) for v in sem.extra.get("octave_increments", [])],
                      dtype=float)
+    if not inc.any():
+        return DivergenceVerdict(False, [])
     # the two skipped octaves and at least 4 fitted ones, all positive
-    if len(inc) < 6 or not np.all(inc[:6] > 0):
+    if len(inc) < 6:
+        return DivergenceVerdict(None, [])
+    if not np.all(inc[:6] > 0):
         return DivergenceVerdict(False, [])
     k = max(6, (len(inc) * 2) // 3)  # finest two thirds; coarse lags saturate
     head = inc[2:k]

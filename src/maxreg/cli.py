@@ -58,12 +58,16 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 SEMINORMS = ("bmo", "half_sobolev", "holder", "dini")
 FORCING_KINDS = ("sine", "zero", "random")
-# Most points on any grid: every time grid, the solve's extended line grid
-# included, and the spatial mesh's cells.  64 times the largest ladder rung
-# and 128 times the largest line window that the tests and the benchmark run.
-# Larger grids are refused at load, before anything is allocated.  The bound
-# holds per grid, not for the product n_points * window_factor * n_cells.
+# Most points on any time grid: the native grid, the solve's extended line
+# grid and every ladder rung.  64 times the largest ladder rung and 128 times
+# the largest line window that the tests and the benchmark run.
 MAX_GRID_POINTS = 2**20
+# Most space-time points of a field on any of those grids: its size times
+# mesh.n_cells + 1.  8 times the largest product that the benchmark or CI
+# runs (4096 x 257, 16384 x 65); a line solve holds about 18 complex vectors
+# of this many points, some 2.2 GiB at the bound.  Both bounds are checked
+# at load, before anything is allocated.
+MAX_FIELD_POINTS = 2**23
 
 # One sweep pool per worker count for the whole process.  A fresh pool per sweep
 # may start its threads before the last pool's have released their malloc
@@ -214,13 +218,17 @@ def _check_ranges(cfg: dict) -> dict:
                           f"got {wf!r}")
     a = cfg["analysis"]
     n = cfg["time"]["n_points"]
-    for key, size, value in (("time.n_points", n, n),
-                             ("time.window_factor", n * wf, wf),
-                             ("mesh.n_cells", m["n_cells"], m["n_cells"]),
-                             *(("analysis.resolutions", r, r) for r in a["resolutions"])):
+    grids = (("time.n_points", n, n), ("time.window_factor", n * wf, wf),
+             *(("analysis.resolutions", r, r) for r in a["resolutions"]))
+    for key, size, value in grids:
         if size > MAX_GRID_POINTS:
             raise ConfigError(f"{key}: {value!r} makes a grid of {size} points; "
                               f"at most {MAX_GRID_POINTS} are allowed")
+    for key, size, value in grids:
+        if size * (m["n_cells"] + 1) > MAX_FIELD_POINTS:
+            raise ConfigError(f"{key}: {value!r} with mesh.n_cells = {m['n_cells']!r} "
+                              f"makes a field of {size} x {m['n_cells'] + 1} points; "
+                              f"at most {MAX_FIELD_POINTS} are allowed")
     if any(s not in SEMINORMS for s in a["seminorms"]):
         raise ConfigError(f"analysis.seminorms must name only {', '.join(SEMINORMS)}; "
                           f"got {a['seminorms']!r}")
@@ -297,13 +305,13 @@ def _build_forcing(cfg: dict, grid: TimeGrid, mesh: SpaceMesh) -> SpaceTimeField
     x = mesh.nodes[mesh.free_mask]
     span = mesh.x_hi - mesh.x_lo
     if f["kind"] == "zero":
-        vals = np.zeros((grid.n_points, mesh.n_dofs), dtype=complex)
+        vals = np.zeros((grid.n_points, mesh.n_dofs))
     elif f["kind"] == "sine":
         prof = np.sin(f["mode"] * np.pi * (x - mesh.x_lo) / span)
-        vals = np.broadcast_to(prof, (grid.n_points, mesh.n_dofs)).astype(complex).copy()
+        vals = np.broadcast_to(prof, (grid.n_points, mesh.n_dofs)).copy()
     else:                           # "random"; `_check_ranges` allows no other
         rng = np.random.default_rng(f["seed"])
-        vals = rng.standard_normal((grid.n_points, mesh.n_dofs)) * (1 + 0j)
+        vals = rng.standard_normal((grid.n_points, mesh.n_dofs))
     return SpaceTimeField(grid, mesh, vals)
 
 
@@ -588,6 +596,13 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(path, args.overrides)
         if args.output_dir:
             cfg["output"]["directory"] = args.output_dir
+        if args.command == "sweep":
+            values = [v.strip() for v in args.values.split(",") if v.strip()]
+            if not values or len(set(values)) < len(values):
+                raise ConfigError(f"--values must name one or more distinct sweep values, "
+                                  f"got {args.values!r}")
+            if args.workers < 1:
+                raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -597,7 +612,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "sweep":
-            values = [v.strip() for v in args.values.split(",") if v.strip()]
             results = run_sweep(cfg, args.axis, values, workers=args.workers)
             out = _output_path(cfg, ".sweep.json")
             with open(out, "w") as fh:

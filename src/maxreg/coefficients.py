@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fem import SpaceMesh
-from .timefourier import TimeGrid, TimeSignal, UniformGrid, fourier_multiplier
+from .timefourier import TimeGrid, TimeSignal, UniformGrid, fourier_multiplier, stored_samples
 
 
 class CoefficientError(ValueError):
@@ -31,8 +31,9 @@ class CoefficientField:
     computed at every construction (`dataclasses.replace` included); a field
     whose certified lower bound is not positive cannot be built.
 
-    `values` are stored as float64 when every imaginary part is zero
-    (integer input included), and as complex128 otherwise."""
+    `values` are stored C-contiguous by the rule of `stored_samples`:
+    float64 when every imaginary part is zero (integer input included), and
+    complex128 otherwise."""
 
     time_grid: UniformGrid
     mesh: SpaceMesh
@@ -44,11 +45,7 @@ class CoefficientField:
     Lam: float = field(init=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if np.iscomplexobj(v) and v.imag.any():
-            self.values = v.astype(complex, copy=False)
-        else:
-            self.values = np.ascontiguousarray(v.real, dtype=float)
+        self.values = np.ascontiguousarray(stored_samples(self.values))
         if self.values.ndim == 2:  # scalar field shorthand
             self.values = self.values[:, :, None, None]
         nt, nx, d1, d2 = self.values.shape

@@ -1,6 +1,7 @@
 """Space-time fields and the norms of the function spaces in play.
 
-A SpaceTimeField carries dof values (nt, ndof) over a time grid and a mesh.
+A SpaceTimeField carries dof values (nt, ndof) over a time grid and a mesh,
+stored by the rule of `stored_samples`: a real field stays float64.
 Energy-space quantities treat the field's own grid as the periodized line.
 Norms of fields living on [0, T) (Cauchy-problem solutions) are computed
 after even whole-sample reflection onto a window of length 2T; reflection
@@ -19,17 +20,17 @@ import numpy as np
 
 from . import fem
 from .fem import SpaceMesh
-from .timefourier import GridError, TimeGrid, fourier_multiplier, frac_symbol
+from .timefourier import GridError, TimeGrid, fourier_multiplier, frac_symbol, stored_samples
 
 
 @dataclass
 class SpaceTimeField:
     time_grid: TimeGrid
     mesh: SpaceMesh
-    values: np.ndarray  # (nt, ndof) complex
+    values: np.ndarray  # (nt, ndof) float64 or complex128
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = stored_samples(self.values)
         expect = (self.time_grid.n_points, self.mesh.n_dofs)
         if self.values.shape != expect:
             raise GridError(f"field values shape {self.values.shape} != {expect}")
@@ -39,7 +40,7 @@ class SpaceTimeField:
 
 
 def zero_field(grid: TimeGrid, mesh: SpaceMesh) -> SpaceTimeField:
-    return SpaceTimeField(grid, mesh, np.zeros((grid.n_points, mesh.n_dofs), dtype=complex))
+    return SpaceTimeField(grid, mesh, np.zeros((grid.n_points, mesh.n_dofs)))
 
 
 def field_symbol(u: SpaceTimeField, symbol: np.ndarray) -> SpaceTimeField:

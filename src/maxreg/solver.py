@@ -207,7 +207,7 @@ def cauchy_solve(
     grid = A_full.time_grid
     mesh = A.mesh
     # time-contiguous, so that solve_line transforms it along contiguous rows
-    g = np.zeros((grid.n_points, mesh.n_dofs), dtype=complex, order="F")
+    g = np.zeros((grid.n_points, mesh.n_dofs), dtype=f.values.dtype, order="F")
     t_rel = A.time_grid.points  # in [0, T)
     g[n : 2 * n] = np.exp(-t_rel)[:, None] * f.values
     g[n] *= 0.5  # half weight at the jump of the zero-extension
@@ -281,7 +281,7 @@ def autonomous_oracle(
     dt = grid.dt
     z = mu.astype(complex) + complex(theta)  # decay rates per mode
     nt = grid.n_points
-    uk = np.zeros_like(fk)
+    uk = np.zeros(fk.shape, dtype=complex)   # the decay rates z may be complex
     ez = np.exp(-z * dt)
     # int_0^dt e^{-z(dt-s)} (a + (b-a) s/dt) ds, exact
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -293,4 +293,4 @@ def autonomous_oracle(
     for j in range(nt - 1):
         uk[j + 1] = ez * uk[j] + w1 * fk[j] + w0 * fk[j + 1]
     vals = uk @ Phi.T
-    return SpaceTimeField(grid, mesh, vals.astype(complex))
+    return SpaceTimeField(grid, mesh, vals)

@@ -83,6 +83,19 @@ class TimeGrid(UniformGrid):
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dt)
 
 
+def stored_samples(values) -> np.ndarray:
+    """values as float64 when no sample has a nonzero imaginary part
+    (integers included), as complex128 otherwise: the storage rule of every
+    field.  The memory order is kept, and a dropped imaginary part is dropped
+    by a copy, so the result never pins a complex buffer."""
+    v = np.asarray(values)
+    if not np.iscomplexobj(v):
+        return v.astype(float, copy=False)
+    if v.imag.any():
+        return v.astype(complex, copy=False)
+    return np.array(v.real, dtype=float, order="K")
+
+
 def frac_order(alpha: float) -> float:
     """alpha as a float, once it is a fractional differentiation order: in (0, 1]."""
     if not (0.0 < alpha <= 1.0):

@@ -234,6 +234,17 @@ class TestDiniIntegral:
         res = dini_integral(sig(g, lambda t: (t > 0).astype(float)), q=1)
         assert dini_verdict(res).divergent
 
+    def test_too_few_octaves_give_no_verdict(self):
+        # n = 32 has five lag octaves, one short of the fit's six; a
+        # constant's increments are all zero, so its verdict stays measured
+        g = TimeGrid(-1.0, 1.0, 32)
+        res = dini_integral(sig(g, lambda t: np.sqrt(np.abs(t))), q=1)
+        assert len(res.extra["octave_increments"]) == 5
+        assert dini_verdict(res).divergent is None
+        assert dini_verdict(dini_integral(const(g), q=1)).divergent is False
+        g = TimeGrid(-1.0, 1.0, 64)
+        assert dini_verdict(dini_integral(sig(g, lambda t: np.sqrt(np.abs(t))), q=1)).divergent
+
     def test_rejects_q_out_of_range(self):
         g = TimeGrid(0.0, 1.0, 128)
         with pytest.raises(ValueError):

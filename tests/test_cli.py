@@ -107,6 +107,17 @@ class TestValidation:
         assert ran == []
         assert not (tmp_path / "autonomous-dirichlet.sweep.json").exists()
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--values", " , "], "--values"), (["--values", "64,64"], "--values"),
+        (["--values", "64", "--workers", "0"], "--workers")])
+    def test_sweep_flags_checked_before_any_point(self, tmp_path, capsys, monkeypatch,
+                                                  args, flag):
+        forbid_runs(monkeypatch)
+        code = run_cli("sweep", "autonomous-dirichlet", "--axis", "resolution", *args,
+                       outdir=tmp_path)
+        assert_rejected(code, capsys.readouterr().err, flag)
+        assert not (tmp_path / "autonomous-dirichlet.sweep.json").exists()
+
     def test_unknown_seminorm_rejected(self, tmp_path, capsys):
         # a misspelt functional must not be dropped from the report silently
         code = run_cli("analyze", "sqrt-product",
@@ -276,6 +287,17 @@ class TestSolveBehavior:
         assert isinstance(ladder["dini"].divergent_flag, bool)
         assert all(r.resolution == 256 for r in ladder.values())
         assert "mollify4" in rep.diagnostics["ladder"]
+
+    def test_dini_flag_null_below_six_octaves(self, tmp_path):
+        # at n = 32 the octave fit has too few points: null, not false
+        for n, flag in ((32, None), (64, True)):
+            code = run_cli("analyze", "sqrt-product", "--set", f"time.n_points={n}",
+                           "--set", "analysis.resolutions=[]", outdir=tmp_path)
+            assert code == EXIT_OK
+            with open(tmp_path / "sqrt-product.report.json") as fh:
+                rows = json.load(fh)["seminorms"]
+            (dini,) = [r for r in rows if r["functional"] == "dini"]
+            assert dini["divergent_flag"] is flag
 
     def test_family_ladder_measures_refinement(self, tmp_path):
         code = run_cli("analyze", "sqrt-product",
@@ -516,14 +538,15 @@ class TestConfigSchema:
         assert_rejected(code, capsys.readouterr().err, item.partition("=")[0])
 
     def test_grid_size_bound_at_load(self, monkeypatch):
-        # the bound holds on the native grid, the solve's line grid, every
-        # ladder rung and the mesh; nothing at or below it is refused
+        # the bound holds on the native grid, the solve's line grid and every
+        # ladder rung; nothing at or below it is refused.  The mesh is bounded
+        # through the field bound below.
         forbid_runs(monkeypatch)
         path, top = bundled_config_path("sqrt-product"), cli.MAX_GRID_POINTS
         cfg = cli.load_config(path, [f"time.n_points={top // 4}", "time.window_factor=4",
-                                     f"analysis.resolutions=[{top}]", f"mesh.n_cells={top}"])
+                                     f"analysis.resolutions=[{top}]", "mesh.n_cells=7"])
         assert cfg["time"]["n_points"] * cfg["time"]["window_factor"] == top
-        assert cfg["mesh"]["n_cells"] == top
+        assert top * (cfg["mesh"]["n_cells"] + 1) == cli.MAX_FIELD_POINTS
         for items, key in (([f"time.n_points={2 * top}"], "time.n_points"),
                            ([f"time.n_points={top // 4}", "time.window_factor=8"],
                             "time.window_factor"),
@@ -534,6 +557,31 @@ class TestConfigSchema:
         point = cli._sweep_point(cli.load_config(path), "resolution", 2 * top)
         assert point["error_type"] == "ConfigError"
         assert "time.n_points" in point["error"]
+
+    def test_field_size_bound_at_load(self, monkeypatch):
+        # every time grid times mesh.n_cells + 1 is bounded: the 32-point line
+        # grid of time.n_points=8 takes the most cells, and one cell more is
+        # refused
+        forbid_runs(monkeypatch)
+        path, top = bundled_config_path("sqrt-product"), cli.MAX_FIELD_POINTS
+        cells = top // 32 - 1
+        cfg = cli.load_config(path, ["time.n_points=8", "analysis.resolutions=[]",
+                                     f"mesh.n_cells={cells}"])
+        assert 32 * (cfg["mesh"]["n_cells"] + 1) == top
+        for items, key in (
+                (["time.n_points=8", "analysis.resolutions=[]", f"mesh.n_cells={cells + 1}"],
+                 "time.window_factor"),
+                (["time.n_points=262144", "mesh.n_cells=1048576"], "time.n_points"),
+                (["time.n_points=8", f"analysis.resolutions=[{top // 8}]", "mesh.n_cells=8"],
+                 "analysis.resolutions")):
+            with pytest.raises(cli.ConfigError, match=key) as err:
+                cli.load_config(path, items)
+            cells_set = items[-1].partition("=")[2]
+            assert f"mesh.n_cells = {cells_set}" in str(err.value)
+        point = cli._sweep_point(cli.load_config(path, ["mesh.n_cells=4096"]),
+                                 "resolution", 4096)
+        assert point["error_type"] == "ConfigError"
+        assert "mesh.n_cells" in point["error"]
 
     def test_whole_section_set_merges(self):
         cfg = cli.load_config(bundled_config_path("sqrt-product"),

@@ -1,5 +1,6 @@
-"""Coefficient families, ellipticity certification, the storage rule, the
-extension algorithm with its proven constants, and mollification."""
+"""Coefficient families, ellipticity certification, the storage rule of
+coefficients and space-time fields, the extension algorithm with its proven
+constants, and mollification."""
 import json
 import os
 
@@ -24,8 +25,10 @@ from maxreg.coefficients import (
     mollify,
     save_field,
 )
-from maxreg.cli import load_config, run_analyze
+import maxreg.cli as cli
+from maxreg.cli import FORCING_KINDS, bundled_config_path, load_config, run_analyze
 from maxreg.fem import SpaceMesh
+from maxreg.norms import SpaceTimeField, zero_field
 from maxreg.timefourier import TimeGrid, frac_derivative
 
 MESH = SpaceMesh(0.0, 1.0, 16)
@@ -151,6 +154,40 @@ class TestStorage:
         assert mollify(A, 8).values.dtype == np.float64
         C = CoefficientField(GRID, MESH, (1.0 + 0.3j) * A.values, T=1.0)
         assert mollify(C, 8).values.dtype == np.complex128
+
+
+class TestFieldStorage:
+    """Space-time fields follow the coefficients' storage rule."""
+
+    SHAPE = (GRID.n_points, MESH.n_dofs)
+
+    @pytest.mark.parametrize("kind", FORCING_KINDS)
+    def test_forcings_are_float64(self, kind):
+        cfg = load_config(bundled_config_path("sqrt-product"), [f'forcing.kind="{kind}"'])
+        assert cli._build_forcing(cfg, GRID, MESH).values.dtype == np.float64
+
+    def test_zero_field_is_float64(self):
+        assert zero_field(GRID, MESH).values.dtype == np.float64
+
+    def test_complex_samples_stay_complex(self):
+        vals = np.full(self.SHAPE, 1.0 + 0.3j)
+        u = SpaceTimeField(GRID, MESH, vals)
+        assert u.values.dtype == np.complex128
+        assert np.array_equal(u.values, vals)
+
+    def test_real_complex_input_is_copied_to_float64(self):
+        vals = np.arange(np.prod(self.SHAPE)).reshape(self.SHAPE) + 0j
+        u = SpaceTimeField(GRID, MESH, vals)
+        assert u.values.dtype == np.float64
+        assert not np.shares_memory(u.values, vals)
+        assert np.array_equal(u.values, vals.real)
+
+    @pytest.mark.parametrize("fill, dtype", [(1.0, np.float64), (1.0 + 0j, np.float64),
+                                             (1.0 + 0.3j, np.complex128)])
+    def test_fortran_order_kept(self, fill, dtype):
+        u = SpaceTimeField(GRID, MESH, np.full(self.SHAPE, fill, order="F"))
+        assert u.values.dtype == dtype
+        assert u.values.flags.f_contiguous
 
 
 def slice_reflection(v):

@@ -246,6 +246,21 @@ class TestSolveLine:
         solve_line(A, sine_forcing(WGRID))
         assert dtypes == {np.dtype(np.float64)}
 
+    def test_real_forcing_solution_bitwise_equal_to_complex_cast(self):
+        # fft of a float64 array equals that of its complex128 cast bit for
+        # bit, and so does the mass action, so GMRES takes the same iterates
+        A = generate_family("holder", WGRID, MESH, seed=3)
+        rng = np.random.default_rng(5)
+        f = SpaceTimeField(WGRID, MESH, rng.standard_normal((WGRID.n_points, MESH.n_dofs)))
+        fc = SpaceTimeField(WGRID, MESH, f.values)
+        fc.values = f.values.astype(complex)    # past the storage rule
+        assert f.values.dtype == np.float64
+        u, diag = solve_line(A, f)
+        uc, diag_c = solve_line(A, fc)
+        assert u.values.tobytes() == uc.values.tobytes()
+        assert diag.iterations == diag_c.iterations
+        assert diag.residual == pytest.approx(diag_c.residual, rel=1e-12)
+
     def test_complex_coefficient_matches_dense_direct_solve(self, monkeypatch):
         grid, mesh = TimeGrid(-1.0, 3.0, 16), SpaceMesh(0.0, 1.0, 6)
         holder = generate_family("holder", grid, mesh, seed=2)
@@ -390,6 +405,15 @@ class TestCauchySolve:
         rel = np.linalg.norm(res.u.values - ref.values) / np.linalg.norm(ref.values)
         assert rel <= 1e-2
 
+    def test_real_data_reach_the_line_solve_real_and_time_contiguous(self, monkeypatch):
+        seen = []
+        spy(monkeypatch, solver, "solve_line", lambda A, g, **kw: seen.append(g.values))
+        grid = TimeGrid(0.0, 1.0, 64)
+        cauchy_solve(generate_family("holder", grid, MESH, seed=1), sine_forcing(grid))
+        (g,) = seen
+        assert g.dtype == np.float64
+        assert g.flags.f_contiguous
+
     def test_zero_forcing_zero_solution(self):
         grid = TimeGrid(0.0, 1.0, 128)
         A = generate_family("constant", grid, MESH)
@@ -403,6 +427,27 @@ class TestCauchySolve:
         u1 = cauchy_solve(A, f).u
         u2 = cauchy_solve(A, SpaceTimeField(grid, MESH, 3.0 * f.values)).u
         assert np.abs(u2.values - 3.0 * u1.values).max() <= 1e-7 * np.abs(u1.values).max()
+
+
+class TestAutonomousOracle:
+    def test_real_data_and_theta_give_a_real_field(self):
+        grid = TimeGrid(0.0, 1.0, 64)
+        u = autonomous_oracle(np.ones(MESH.n_cells), sine_forcing(grid), theta=0.5)
+        assert u.values.dtype == np.float64
+
+    def test_complex_theta_stays_complex(self):
+        # the per-mode update is complex even when the forcing is real
+        grid = TimeGrid(0.0, 1.0, 64)
+        a = np.ones(MESH.n_cells)
+        f = sine_forcing(grid)
+        fc = SpaceTimeField(grid, MESH, f.values)
+        fc.values = f.values.astype(complex)    # past the storage rule
+        u = autonomous_oracle(a, f, theta=0.5 + 3j)
+        ref = autonomous_oracle(a, fc, theta=0.5 + 3j)
+        assert f.values.dtype == np.float64
+        assert u.values.dtype == np.complex128
+        assert np.abs(u.values.imag).max() > 1e-3 * np.abs(u.values).max()
+        assert np.allclose(u.values, ref.values, rtol=1e-12, atol=1e-14)
 
 
 class TestTimestepReference:
