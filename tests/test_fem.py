@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+import maxreg.fem as fem
 from maxreg.fem import (
     MeshError,
     SpaceMesh,
@@ -26,6 +27,12 @@ from maxreg.fem import (
 )
 
 BCS = st.sampled_from(["dirichlet", "neumann"])
+
+
+def stiffness_reference(mesh, a_cells, u):
+    """`stiffness_apply` as it was written before it worked through blocks of
+    dofs in place: the gradient, a times the gradient, and its adjoint."""
+    return gradient_adjoint(mesh, a_cells * gradient(mesh, u))
 
 
 def sweep_reference(factors, rhs):
@@ -189,6 +196,39 @@ class TestStiffness:
         u = rng.standard_normal(m.n_dofs)
         assert np.abs(dense @ u - stiffness_apply(m, a, u)).max() <= 1e-13
 
+
+    @given(st.integers(4, 40), BCS, BCS, st.sampled_from(["1-D", "C", "F"]),
+           st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+           st.sampled_from(["one dof", "ragged", "single"]), st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_blocked_kernel_matches_reference(self, n_cells, bc_left, bc_right, layout,
+                                              per_slice, complex_a, complex_u, in_place,
+                                              blocks, seed):
+        # bitwise equal for a real coefficient; a complex one multiplies in a
+        # loop that rounds differently, by about one ulp
+        m = SpaceMesh(0.0, 1.3, n_cells, bc_left, bc_right)
+        rng = np.random.default_rng(seed)
+        nd, nt = m.n_dofs, 1 if layout == "1-D" else 5
+        shape = (nd,) if layout == "1-D" else (nt, nd)
+        u = rng.standard_normal(shape)
+        if complex_u or (complex_a and in_place):
+            u = u + 1j * rng.standard_normal(shape)
+        a = 0.5 + rng.random((nt, n_cells) if per_slice and layout != "1-D" else n_cells)
+        if complex_a:
+            a = a + 1j * rng.standard_normal(a.shape)
+        if layout == "F":
+            u, a = np.asfortranarray(u), np.asfortranarray(a)
+        rows = {"one dof": 1, "ragged": nd // 2 + 1, "single": nd}[blocks]
+        ref = stiffness_reference(m, a, u)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fem, "BLOCK_SAMPLES", rows * nt)
+            got = stiffness_apply(m, a, u, out=u if in_place else None)
+        order = "F_CONTIGUOUS" if layout == "F" else "C_CONTIGUOUS"
+        assert got is u if in_place else got.flags[order]
+        if complex_a:
+            assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+        else:
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_kernels_keep_time_contiguous_layout(self):
         # a Fortran-ordered (nt, ndof) view, as the line solver hands over

@@ -2,6 +2,7 @@
 and the time-stepping cross-checks."""
 import collections
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,24 @@ def spy(monkeypatch, owner, name, record):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
+
+
+class _Captured(Exception):
+    """Stops a solve once its GMRES operator is captured."""
+
+
+def captured_matvec(monkeypatch, A, f):
+    """The matvec that solve_line hands to GMRES, taken without solving."""
+    ops = []
+
+    def capture(A, b, **kwargs):
+        ops.append(A)
+        raise _Captured
+
+    monkeypatch.setattr(solver.spla, "gmres", capture)
+    with pytest.raises(_Captured):
+        solve_line(A, f)
+    return ops[0].matvec
 
 
 def dense_direct_solve(A, f, theta):
@@ -306,6 +325,54 @@ class TestSolveLine:
         assert calls["mass_solve"] <= 1
 
 
+class TestLineMatvec:
+    ENDS = [("dirichlet", "dirichlet"), ("neumann", "dirichlet"),
+            ("dirichlet", "neumann"), ("neumann", "neumann")]
+
+    @pytest.mark.parametrize("ends", ENDS)
+    @pytest.mark.parametrize("kind", ["step", "complex_holder"])
+    def test_matches_unblocked_formula(self, monkeypatch, kind, ends):
+        # 512 samples on 63 to 65 dofs make two or three blocks of dof rows.
+        # A real coefficient gives the unblocked matvec bit for bit; a complex
+        # one multiplies in a loop that rounds differently, by about one ulp
+        mesh = SpaceMesh(0.0, 1.0, 64, *ends)
+        A = generate_family("holder" if kind == "complex_holder" else kind, WGRID, mesh, seed=3)
+        if kind == "complex_holder":
+            A = CoefficientField(WGRID, mesh, (1.0 + 0.3j) * A.scalar_cells(), T=A.T)
+        matvec = captured_matvec(monkeypatch, A, sine_forcing(WGRID, mesh))
+        nt, nd = WGRID.n_points, mesh.n_dofs
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(nt * nd) + 1j * rng.standard_normal(nt * nd)
+        xh = x.reshape(nd, nt)
+        z = 1j * WGRID.frequencies + 1.0
+        a = np.asfortranarray(A.scalar_cells())
+        u = np.fft.ifft(xh, norm="ortho").T
+        Ku = fem.gradient_adjoint(mesh, a * fem.gradient(mesh, u))
+        ref = (z * fem.mass_apply(mesh, xh.T).T + np.fft.fft(Ku.T, norm="ortho")).ravel()
+        got = matvec(x)
+        if kind == "step":
+            assert np.array_equal(got, ref)
+        else:
+            assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+    def test_allocates_only_its_output(self, monkeypatch):
+        # 2048 samples on 63 dofs make 8 blocks of dof rows: a matvec peaks at
+        # its output and a few blocks, where an unblocked one held 3 vectors
+        grid, mesh = TimeGrid(-1.0, 3.0, 2048), SpaceMesh(0.0, 1.0, 64)
+        A = generate_family("step", grid, mesh, seed=3)
+        matvec = captured_matvec(monkeypatch, A, sine_forcing(grid, mesh))
+        x = np.random.default_rng(8).standard_normal(grid.n_points * mesh.n_dofs) + 0j
+        matvec(x)
+        tracemalloc.start()
+        try:
+            y = matvec(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.nbytes == 16 * x.size
+        assert peak <= y.nbytes + 3 * 16 * fem.BLOCK_SAMPLES
+
+
 def hard_case(name, n=128, n_cells=32):
     """Coefficient, forcing and window of a line solve that needs many
     iterations: the preconditioner's mean coefficient is far from A(t)."""
@@ -380,6 +447,40 @@ class TestCauchySolve:
         grid = TimeGrid(0.0, 1.0, 256)
         A = generate_family("constant", grid, MESH)
         res = cauchy_solve(A, sine_forcing(grid))
+        assert res.guard_mass_fraction <= 1e-6
+
+    def test_guard_band_warning_names_causality_leakage(self):
+        # rough forcing on a coarse grid: most of the guard mass lies before
+        # t = 0, where the line solution vanishes in theory
+        grid, mesh = TimeGrid(0.0, 1.0, 256), SpaceMesh(0.0, 1.0, 64)
+        A = generate_family("sqrt_product", grid, mesh, seed=0)
+        rng = np.random.default_rng(0)
+        f = SpaceTimeField(grid, mesh, rng.standard_normal((grid.n_points, mesh.n_dofs)))
+        with pytest.warns(RuntimeWarning, match="refine time.n_points or smooth") as rec:
+            res = cauchy_solve(A, f)
+        v = res.line_solution.values
+        vv = fem.h_inner(mesh, v, v).real
+        guard = np.zeros(len(vv), dtype=bool)
+        guard[:128] = guard[-128:] = True
+        assert res.guard_mass_fraction == float(vv[guard].sum() / vv.sum())
+        lead, trail = vv[:128].sum() / vv.sum(), vv[-128:].sum() / vv.sum()
+        assert lead > trail
+        (msg,) = [str(w.message) for w in rec]
+        assert f"{lead:.2e}" in msg and f"{trail:.2e}" in msg
+
+    def test_guard_band_warning_names_wrap_around(self):
+        A, f, window = hard_case("neumann")
+        with pytest.warns(RuntimeWarning, match="wrap-around guard band") as rec:
+            res = cauchy_solve(A, f, window_factor=window)
+        assert res.guard_mass_fraction > 1e-6
+        assert "enlarge time.window_factor" in str(rec[0].message)
+
+    def test_smooth_forcing_leaves_guard_bands_silent(self):
+        grid, mesh = TimeGrid(0.0, 1.0, 256), SpaceMesh(0.0, 1.0, 64)
+        A = generate_family("sqrt_product", grid, mesh, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = cauchy_solve(A, sine_forcing(grid, mesh))
         assert res.guard_mass_fraction <= 1e-6
 
     def test_solve_path_computes_no_certificate(self, monkeypatch):
