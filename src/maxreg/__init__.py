@@ -8,6 +8,7 @@ Subpackages:
   fem           1-D P1 elements, banded and batched linear algebra
   norms         space-time fields and the norms of the spaces in play
   solver        hidden-coercivity line solver, Cauchy pipeline, oracles
+  krylov        restarted right-preconditioned GMRES for the line solve
   commutators   [a, D^alpha]: application, converged operator norm, factorization check
   report        machine-readable experiment reports
   cli           experiment runner (solve / analyze / extend / commutator / sweep)

@@ -5,9 +5,9 @@ autonomous eigen-expansion oracle.
 All right-hand sides and solutions are H-representer fields: the equation
 reads  u' + theta*u + Minv*K(t)*u = f  per time slice, with the time
 derivative realized by the exact Fourier symbol i*tau.  The solve is
-matrix-free GMRES on the time spectrum of the Galerkin system (M times the
-equation), preconditioned by the mode-diagonal solve with the time-averaged
-coefficient.
+matrix-free restarted GMRES (maxreg.krylov) on the time spectrum of the
+Galerkin system (M times the equation), right-preconditioned by the
+mode-diagonal solve with the time-averaged coefficient.
 """
 from __future__ import annotations
 
@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse.linalg as spla
 
 from . import fem, norms
+# named spla: bench/tracing.py wraps `spla.gmres` and builds its operators
+# with `spla.LinearOperator`; bench/selftest.py checks the binding is restored
+from . import krylov as spla
 from .coefficients import CoefficientField, extend_full
 from .norms import SpaceTimeField, zero_field
 from .timefourier import GridError, twist_symbol
@@ -30,8 +32,7 @@ from .timefourier import GridError, twist_symbol
 # nothing.  Restarted GMRES(m) converges for every m >= 1 when the operator's
 # symmetric part is positive definite (Eisenstat, Elman & Schultz, SIAM J.
 # Numer. Anal. 20, 1983).  A line solve on n_t samples then holds
-# GMRES_RESTART + 1 basis vectors of 16 * n_t * n_dofs bytes, not scipy's
-# default of up to 21.
+# GMRES_RESTART + 1 basis vectors of 16 * n_t * n_dofs bytes.
 GMRES_RESTART = 6
 
 
@@ -120,15 +121,18 @@ def solve_line(
 ) -> tuple[SpaceTimeField, SolveDiagnostics]:
     """Unique solve of (theta + L)u = f on the periodized line.
 
-    Matrix-free GMRES on the time spectrum x = fft(u, norm="ortho") of
-    M(theta + L)u = Mf:  z_k M x_k + F K(A(t)) F^{-1} x = fft(Mf), with
-    z_k = i*tau_k + theta, preconditioned by the mode-diagonal solve
-    (z_k M + K(mean A))^{-1}.  The transform is unitary, so GMRES sees the
-    time-domain system's Krylov spaces.  A matvec allocates only its result:
-    the inverse FFT lands there, the stiffness action and the forward FFT
-    overwrite it in place, and z_k M x_k is added over blocks of dof rows of
-    fem.BLOCK_SAMPLES samples, which stay in cache.  Fails loudly when the
-    L2(H) relative residual of (theta + L)u = f exceeds tol."""
+    Matrix-free GMRES(GMRES_RESTART) on the time spectrum x = fft(u,
+    norm="ortho") of M(theta + L)u = Mf:  z_k M x_k + F K(A(t)) F^{-1} x =
+    fft(Mf), with z_k = i*tau_k + theta, right-preconditioned by the
+    mode-diagonal solve (z_k M + K(mean A))^{-1}.  The transform is unitary,
+    so GMRES sees the time-domain system's Krylov spaces.  Right
+    preconditioning makes the residual history that of the unpreconditioned
+    system; each iteration costs one matvec, and each restart cycle one more
+    preconditioner solve but no matvec (maxreg.krylov).  A matvec allocates
+    only its result: the inverse FFT lands there, the stiffness action and
+    the forward FFT overwrite it in place, and z_k M x_k is added over blocks
+    of dof rows of fem.BLOCK_SAMPLES samples, which stay in cache.  Fails
+    loudly when the L2(H) relative residual of (theta + L)u = f exceeds tol."""
     _check_setup(f, A)
     theta = complex(theta)
     if theta.real <= 0:
@@ -182,9 +186,8 @@ def solve_line(
     history = []
     b = np.fft.fft(fem.mass_apply(mesh, f.values).T, norm="ortho").ravel()
     # maxiter counts restart cycles
-    x, info = spla.gmres(Lop, b, M=Pop, rtol=min(tol * 1e-2, 1e-10), atol=0.0,
-                         restart=GMRES_RESTART, maxiter=maxiter,
-                         callback=history.append, callback_type="pr_norm")
+    x, info = spla.gmres(Lop, b, M=Pop, rtol=min(tol * 1e-2, 1e-10),
+                         restart=GMRES_RESTART, maxiter=maxiter, callback=history.append)
     u = np.fft.ifft(x.reshape(nd, nt), norm="ortho").T
     # L_mv(x) - b is the spectrum of M(Lu - f); by Parseval the squared
     # L2(H) norm of Lu - f is dt times the sum of (M^{-1} r | r) over modes
