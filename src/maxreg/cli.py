@@ -36,8 +36,9 @@ from .bmo import (
 )
 from .coefficients import (
     FAMILY_KINDS,
-    SPACE_PROFILES,
     CoefficientField,
+    FamilyError,
+    check_family,
     extend_full,
     extend_reflect,
     generate_family,
@@ -46,7 +47,7 @@ from .coefficients import (
     save_field,
 )
 from .commutators import commutator_norm_estimate
-from .fem import DIRICHLET, NEUMANN, SpaceMesh
+from .fem import SpaceMesh
 from .norms import SpaceTimeField, l2h_norm, l2v_grad_norm, maxreg_ratio, sobolev_norm
 from .report import RegularityReport, SeminormRow, emit_report
 from .solver import SolverError, autonomous_oracle, cauchy_solve
@@ -186,32 +187,24 @@ def _merge_checked(defaults: dict, *layers: dict, path: str = "") -> dict:
 
 def _check_ranges(cfg: dict) -> dict:
     """cfg itself, once each value lies in the range its use needs; the JSON
-    types are `_merge_checked`'s, and solve's orders `run_solve`'s."""
+    types are `_merge_checked`'s, and solve's orders `run_solve`'s.  A range
+    that a layer owns is asked of that layer, under the value's dotted key."""
     c, m = cfg["coefficient"], cfg["mesh"]
     for key, value, allowed in (
             ("output.format", cfg["output"]["format"], ("json", "csv")),
-            ("coefficient.kind", c["kind"], FAMILY_KINDS),
-            ("coefficient.space_profile", c["space_profile"], SPACE_PROFILES),
-            ("forcing.kind", cfg["forcing"]["kind"], FORCING_KINDS),
-            ("mesh.bc_left", m["bc_left"], (DIRICHLET, NEUMANN)),
-            ("mesh.bc_right", m["bc_right"], (DIRICHLET, NEUMANN))):
+            ("forcing.kind", cfg["forcing"]["kind"], FORCING_KINDS)):
         if value not in allowed:
             raise ConfigError(f"{key} must be one of {', '.join(allowed)}; got {value!r}")
-    if c["mollify_width"] < 0:
-        raise ConfigError(f"coefficient.mollify_width must be >= 0 cells (0: no "
-                          f"mollification), got {c['mollify_width']!r}")
-    for key, value, least in (("coefficient.seed", c["seed"], 0),
-                              ("forcing.seed", cfg["forcing"]["seed"], 0),
-                              ("mesh.n_cells", m["n_cells"], 4)):
-        if value < least:
-            raise ConfigError(f"{key} must be >= {least}, got {value!r}")
-    if not m["x_hi"] > m["x_lo"]:
-        raise ConfigError(f"mesh.x_hi must exceed mesh.x_lo = {m['x_lo']!r}, "
-                          f"got {m['x_hi']!r}")
-    value = c["value"]
-    if isinstance(value, list) and not (value and all(len(r) == len(value) for r in value)):
-        raise ConfigError(f"coefficient.value must be a number or a square matrix, "
-                          f"got {value!r}")
+    for key, value in (("coefficient.mollify_width", c["mollify_width"]),
+                       ("coefficient.seed", c["seed"]),
+                       ("forcing.seed", cfg["forcing"]["seed"])):
+        if value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value!r}")
+    try:
+        check_family(c["kind"], amp=c["amp"], alpha=c["alpha"], value=c["value"],
+                     space_profile=c["space_profile"])
+    except FamilyError as exc:
+        raise ConfigError(f"coefficient.{exc.param}: {exc}") from None
     wf = cfg["time"]["window_factor"]
     if wf < 4 or wf & (wf - 1):
         raise ConfigError(f"time.window_factor must be an integer power of two >= 4, "
@@ -232,16 +225,20 @@ def _check_ranges(cfg: dict) -> dict:
     if any(s not in SEMINORMS for s in a["seminorms"]):
         raise ConfigError(f"analysis.seminorms must name only {', '.join(SEMINORMS)}; "
                           f"got {a['seminorms']!r}")
-    for key, value in (("time.T", cfg["time"]["T"]),
-                       ("solver.tolerance", cfg["solver"]["tolerance"]),
+    for key, value in (("solver.tolerance", cfg["solver"]["tolerance"]),
                        ("analysis.divergence_threshold", a["divergence_threshold"])):
         if value <= 0.0:
             raise ConfigError(f"{key} must be a positive number, got {value!r}")
     for key, valid, values in (
+            ("mesh.n_cells", lambda k: SpaceMesh(0.0, 1.0, k), [m["n_cells"]]),
+            ("mesh.x_hi", lambda x: SpaceMesh(m["x_lo"], x, m["n_cells"]), [m["x_hi"]]),
+            *((f"mesh.{end}", lambda bc: SpaceMesh(0.0, 1.0, m["n_cells"], bc, bc), [m[end]])
+              for end in ("bc_left", "bc_right")),
             ("analysis.holder_alpha", frac_order, [a["holder_alpha"]]),
             ("analysis.dini_q", check_dini_exponent, a["dini_q"]),
-            ("time.n_points", lambda n: TimeGrid(0.0, 1.0, n), [n]),
-            ("analysis.resolutions", lambda n: TimeGrid(0.0, 1.0, n), a["resolutions"])):
+            ("time.n_points", lambda k: TimeGrid(0.0, 1.0, k), [n]),
+            ("time.T", lambda T: TimeGrid(0.0, T, n), [cfg["time"]["T"]]),
+            ("analysis.resolutions", lambda k: TimeGrid(0.0, 1.0, k), a["resolutions"])):
         for v in values:
             try:
                 valid(v)
@@ -323,24 +320,24 @@ def _output_path(cfg: dict, suffix: str) -> str:
     return os.path.join(directory, f"{cfg['experiment_id']}{suffix}")
 
 
-def _ladder_rungs(cfg: dict, A: CoefficientField, diagnostics: dict) -> list[TimeSignal]:
-    """Column 0 of the coefficient at each ladder resolution, coarsest first.
+def _ladder_rungs(cfg: dict, A: CoefficientField) -> tuple[list[TimeSignal], dict]:
+    """Column 0 of the coefficient at each ladder resolution, coarsest first,
+    and the ladder's diagnostics.
 
     The native rung is read off A; every other rung is built afresh by
     `_build_coefficient`.  Only a generated family can be sampled afresh at
     other resolutions: a coefficient file or a mollified field (whose
     mollifier would narrow with n) has the native rung only, and a
-    `diagnostics.ladder` note says why its refinement flags are null.
+    `ladder` note in the diagnostics says why its refinement flags are null.
     """
     native = A.time_grid.n_points
     if cfg["coefficient"]["file"] or A.kind not in FAMILY_KINDS:
-        diagnostics["ladder"] = (
+        return [A.column(0)], {"ladder": (
             f"coefficient kind {A.kind!r} cannot be regenerated at other resolutions: "
-            "measured at the native resolution only, refinement flags null")
-        return [A.column(0)]
+            "measured at the native resolution only, refinement flags null")}
     return [(A if n == native else _build_coefficient(
                  cfg, dataclasses.replace(A.time_grid, n_points=n), A.mesh)).column(0)
-            for n in sorted({native, *cfg["analysis"]["resolutions"]})]
+            for n in sorted({native, *cfg["analysis"]["resolutions"]})], {}
 
 
 def _refinement_flag(cfg: dict, values: list[float]) -> bool | None:
@@ -352,27 +349,27 @@ def _refinement_flag(cfg: dict, values: list[float]) -> bool | None:
         values, threshold=cfg["analysis"]["divergence_threshold"]).divergent
 
 
-def _seminorm_ladder(cfg: dict, A: CoefficientField, rows: list[SeminormRow],
-                     diagnostics: dict) -> None:
+def _ladder_row(A: CoefficientField, rungs: list[TimeSignal], functional: str, order,
+                value: float, divergent: bool | None, interval=None) -> SeminormRow:
+    """The row of a functional of A measured on the finest of `rungs`."""
+    return SeminormRow(functional, order, value, interval, rungs[-1].n, divergent, A.seed)
+
+
+def _seminorm_ladder(cfg: dict, A: CoefficientField) -> tuple[list[SeminormRow], dict]:
     """All requested time-regularity functionals of A(., x_0) up the ladder,
     with the refinement-based divergence flags (Dini keeps its one-grid
-    verdict on the finest rung)."""
+    verdict on the finest rung), and the ladder's diagnostics."""
     want = set(cfg["analysis"]["seminorms"])
     if not want:
-        return
-    rungs = _ladder_rungs(cfg, A, diagnostics)
-
-    def row(label, order, last, divergent):
-        rows.append(SeminormRow(
-            functional=label, order=order, value=last.value,
-            achieving_interval=last.achieving_interval,
-            resolution=rungs[-1].n, divergent_flag=divergent,
-            seed=A.seed,
-        ))
+        return [], {}
+    rungs, diagnostics = _ladder_rungs(cfg, A)
+    rows = []
 
     def ladder(label, order, evaluate):
         results = [evaluate(s) for s in rungs]
-        row(label, order, results[-1], _refinement_flag(cfg, [r.value for r in results]))
+        rows.append(_ladder_row(A, rungs, label, order, results[-1].value,
+                                _refinement_flag(cfg, [r.value for r in results]),
+                                results[-1].achieving_interval))
 
     if "bmo" in want:
         ladder("bmo", None,
@@ -386,12 +383,13 @@ def _seminorm_ladder(cfg: dict, A: CoefficientField, rows: list[SeminormRow],
     if "dini" in want:
         for q in cfg["analysis"]["dini_q"]:
             last = dini_integral(rungs[-1], q=q)
-            row("dini", q, last, dini_verdict(last).divergent)
+            rows.append(_ladder_row(A, rungs, "dini", q, last.value,
+                                    dini_verdict(last).divergent, last.achieving_interval))
+    return rows, diagnostics
 
 
-def _extension_rows(A: CoefficientField, rows: list[SeminormRow],
-                    checks: dict) -> None:
-    """Measured extension constants and the three proven bound checks."""
+def _extension_rows(A: CoefficientField) -> tuple[list[SeminormRow], dict]:
+    """Measured extension constants, and the three proven bound checks."""
     a = A.column(0)
     M = scale_invariant_half_sobolev(a, dyadic_family(a.grid)).value
     flat = extend_reflect(A)
@@ -405,14 +403,14 @@ def _extension_rows(A: CoefficientField, rows: list[SeminormRow],
     an = extend_full(A).column(0)
     m_nat = scale_invariant_half_sobolev(an, dyadic_family(an.grid)).value
     bound = 9 * M + 8 * A.Lam ** 2 / T + 6 * (A.Lam ** 2 + A.lam ** 2) / T
-    rows.append(SeminormRow("extension_M", 0.5, M, None, n))
-    rows.append(SeminormRow("extension_reflected_2T", 0.5, v2, None, 2 * n))
-    rows.append(SeminormRow("extension_reflected_3T", 0.5, v3, None, 3 * n))
-    rows.append(SeminormRow("extension_M_natural", 0.5, m_nat, None, 3 * n))
-    checks["reflected_2T_le_3M"] = bool(v2 <= 3 * M + 1e-12)
-    checks["reflected_3T_le_9M"] = bool(v3 <= 9 * M + 1e-12)
-    checks["M_natural_le_bound"] = bool(m_nat <= bound + 1e-12)
-    checks["M_natural_bound"] = bound
+    rows = [SeminormRow("extension_M", 0.5, M, None, n),
+            SeminormRow("extension_reflected_2T", 0.5, v2, None, 2 * n),
+            SeminormRow("extension_reflected_3T", 0.5, v3, None, 3 * n),
+            SeminormRow("extension_M_natural", 0.5, m_nat, None, 3 * n)]
+    return rows, {"reflected_2T_le_3M": bool(v2 <= 3 * M + 1e-12),
+                  "reflected_3T_le_9M": bool(v3 <= 9 * M + 1e-12),
+                  "M_natural_le_bound": bool(m_nat <= bound + 1e-12),
+                  "M_natural_bound": bound}
 
 
 def run_solve(cfg: dict) -> RegularityReport:
@@ -444,12 +442,12 @@ def run_solve(cfg: dict) -> RegularityReport:
                     / max(np.linalg.norm(ref.values), 1e-300))
         diagnostics["oracle_relative_deviation"] = dev
 
-    rows: list[SeminormRow] = []
-    checks: dict = {}
-    _seminorm_ladder(cfg, A, rows, checks)
+    rows, notes = _seminorm_ladder(cfg, A)
+    diagnostics.update(notes)
     if cfg["analysis"]["extension_constants"]:
-        _extension_rows(A, rows, checks)
-    diagnostics.update(checks)
+        extension, checks = _extension_rows(A)
+        rows += extension
+        diagnostics.update(checks)
 
     return RegularityReport(
         experiment_id=cfg["experiment_id"],
@@ -464,15 +462,13 @@ def run_analyze(cfg: dict) -> RegularityReport:
     """Coefficient-only: the full regularity ladder plus extension constants.
     No solve is performed."""
     grid, mesh, A = _setup(cfg)
-    rows: list[SeminormRow] = []
-    checks: dict = {}
-    _seminorm_ladder(cfg, A, rows, checks)
-    _extension_rows(A, rows, checks)
+    rows, notes = _seminorm_ladder(cfg, A)
+    extension, checks = _extension_rows(A)
     return RegularityReport(
         experiment_id=cfg["experiment_id"],
         coefficient=_descriptor(A),
         resolutions={"n_t": grid.n_points, "n_x": mesh.n_cells},
-        seminorms=rows, diagnostics=checks,
+        seminorms=rows + extension, diagnostics={**notes, **checks},
     )
 
 
@@ -482,15 +478,13 @@ def run_extend(cfg: dict) -> RegularityReport:
     An = extend_full(A, window_factor=cfg["time"]["window_factor"])
     prefix = _output_path(cfg, ".extended")
     save_field(An, prefix)
-    rows: list[SeminormRow] = []
-    checks: dict = {"extended_field": prefix}
-    _extension_rows(A, rows, checks)
+    rows, checks = _extension_rows(A)
     return RegularityReport(
         experiment_id=cfg["experiment_id"],
         coefficient=_descriptor(A),
         resolutions={"n_t": grid.n_points, "n_x": mesh.n_cells,
                      "window_factor": cfg["time"]["window_factor"]},
-        seminorms=rows, diagnostics=checks,
+        seminorms=rows, diagnostics={"extended_field": prefix, **checks},
     )
 
 
@@ -498,20 +492,15 @@ def run_commutator(cfg: dict) -> RegularityReport:
     """[a, D^alpha] probe up the ladder's rungs with the refinement-based
     divergence flag."""
     _, mesh, A = _setup(cfg)
-    diagnostics: dict = {}
-    rungs = _ladder_rungs(cfg, A, diagnostics)
+    rungs, diagnostics = _ladder_rungs(cfg, A)
     diagnostics["resolutions"] = [s.n for s in rungs]
-    rows: list[SeminormRow] = []
+    rows = []
     for alpha in cfg["analysis"]["alphas"]:
         probes = [commutator_norm_estimate(s, alpha) for s in rungs]
         estimates = [p.estimate for p in probes]
         probe = probes[-1]
-        rows.append(SeminormRow(
-            functional="commutator_norm", order=alpha, value=probe.estimate,
-            achieving_interval=None, resolution=rungs[-1].n,
-            divergent_flag=_refinement_flag(cfg, estimates),
-            seed=A.seed,
-        ))
+        rows.append(_ladder_row(A, rungs, "commutator_norm", alpha, probe.estimate,
+                                _refinement_flag(cfg, estimates)))
         diagnostics[f"alpha_{alpha}"] = {
             "estimates": estimates,
             "bmo_value": probe.bmo_value,

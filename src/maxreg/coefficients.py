@@ -25,6 +25,14 @@ class NotElliptic(CoefficientError):
     """Certified lower bound is non-positive; field rejected for solver use."""
 
 
+class FamilyError(CoefficientError):
+    """A built-in family's parameter out of its range; `param` names it."""
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
+
+
 @dataclass
 class CoefficientField:
     """Samples of A(t, x).  `lam`/`Lam` are the certificate of these samples,
@@ -92,7 +100,9 @@ def certify_ellipticity(A: CoefficientField | np.ndarray) -> tuple[float, float]
     spectral norm; both over every (t, x) sample.  A 1x1 sample a has the
     closed form Re a and |a|, with |a| = w sqrt(1 + (v/w)^2), w >= v the
     moduli of Re a and Im a: LAPACK's rounding, so it is bitwise the svd's.
-    For real 1x1 samples that form is min(a) and max|a|, bit for bit.
+    For real 1x1 samples that form is min(a) and max|a|, bit for bit.  A
+    zero lambda is +0.0 on both paths: the sign numpy's min gives a zero
+    depends on the array's memory layout.
     """
     vals = A.values if isinstance(A, CoefficientField) else np.asarray(A)
     mats = vals.reshape(-1, vals.shape[-2], vals.shape[-1])
@@ -101,7 +111,7 @@ def certify_ellipticity(A: CoefficientField | np.ndarray) -> tuple[float, float]
     if mats.shape[-1] == 1:
         a = mats[:, 0, 0]
         if not np.iscomplexobj(a):
-            return float(a.min()), float(np.abs(a).max())
+            return float(a.min()) + 0.0, float(np.abs(a).max())
         # in place: at most three real arrays of the sample count at once
         v, im = np.abs(a.real), np.abs(a.imag)
         w = np.maximum(v, im)
@@ -112,7 +122,7 @@ def certify_ellipticity(A: CoefficientField | np.ndarray) -> tuple[float, float]
         v += 1.0
         np.sqrt(v, out=v)
         v *= w
-        return float(a.real.min()), float(v.max())
+        return float(a.real.min()) + 0.0, float(v.max())
     herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
     lam_hat = float(np.linalg.eigvalsh(herm)[:, 0].min())
     Lam_hat = float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
@@ -215,6 +225,33 @@ def mollify(A: CoefficientField, n: int) -> CoefficientField:
 
 FAMILY_KINDS = ("constant", "sqrt_product", "holder", "lipschitz", "step")
 SPACE_PROFILES = ("constant", "cosine")     # the x-profiles of sqrt_product
+# Each kind's amp lies in (0, bound), inside which holder and step are elliptic
+# on any grid.  The certificate of the sampled field decides the rest:
+# lipschitz with |amp| >= 2, and sqrt_product with a large T or a far t0.
+_AMP_BOUNDS = {"sqrt_product": 1.0, "holder": 1.0, "step": 2.0}
+
+
+def check_family(kind: str, *, amp: float = 0.5, alpha: float = 0.5,
+                 value: float | np.ndarray = 1.0, space_profile: str = "constant") -> None:
+    """Raise FamilyError naming the first parameter of built-in family `kind`
+    out of its range.  The kind, the space profile and the shape of `value`
+    are checked whether or not the kind reads them."""
+    if kind not in FAMILY_KINDS:
+        raise FamilyError("kind", f"unknown family kind {kind!r}; choose from {FAMILY_KINDS}")
+    if space_profile not in SPACE_PROFILES:
+        raise FamilyError("space_profile", f"unknown space_profile {space_profile!r}")
+    if isinstance(value, list) and not (value and all(
+            isinstance(row, list) and len(row) == len(value) for row in value)):
+        raise FamilyError("value", f"value must be a number or a square matrix, got {value!r}")
+    bound = _AMP_BOUNDS.get(kind)
+    if bound is not None and not 0.0 < amp < bound:
+        raise FamilyError("amp", f"{kind} needs 0 < amp < {bound:g} for ellipticity, got {amp!r}")
+    if kind == "holder" and not 0.0 < alpha < 1.0:
+        raise FamilyError("alpha", f"holder needs alpha in (0, 1), got {alpha!r}")
+    if kind == "constant":
+        lam = certify_ellipticity(np.atleast_2d(value)[None])[0]
+        if lam <= 0:
+            raise FamilyError("value", f"constant value {value!r} is not elliptic: lambda {lam}")
 
 
 def _holder_series(grid: TimeGrid, alpha: float, seed: int) -> np.ndarray:
@@ -254,43 +291,30 @@ def generate_family(
     lipschitz     A(t) = 1 + (amp/2) * sin(2 pi t / period)
     step          A(t) = 1 - amp/2 on the first half window, 1 + amp/2 after
     """
+    check_family(kind, amp=amp, alpha=alpha, value=value, space_profile=space_profile)
     nt, nx = time_grid.n_points, mesh.n_cells
     t = time_grid.points
     if kind == "constant":
         prof = np.atleast_2d(value)                  # (d, d) at every (t, x)
     elif kind == "sqrt_product":
-        if not (0.0 < amp < 1.0):
-            raise CoefficientError("sqrt_product needs 0 < amp < 1 for ellipticity")
         if t0 is None:
             t0 = 0.5 * (time_grid.t_start + time_grid.t_end)
         if space_profile == "constant":
             a_x = np.full(nx, amp)
-        elif space_profile == "cosine":
+        else:                                        # "cosine"
             xm = (mesh.midpoints - mesh.x_lo) / (mesh.x_hi - mesh.x_lo)
             a_x = amp * np.cos(np.pi * xm)
-        else:
-            raise CoefficientError(f"unknown space_profile {space_profile!r}")
         root = np.sqrt(np.abs(t - t0))
         prof = (1.0 + root[:, None] * a_x[None, :])[:, :, None, None]
-        if prof.min() <= 0:
-            raise CoefficientError("sqrt_product parameters violate ellipticity")
     elif kind == "holder":
-        if not (0.0 < alpha < 1.0):
-            raise CoefficientError("holder kind needs alpha in (0, 1)")
-        if not (0.0 < amp < 1.0):
-            raise CoefficientError("holder kind needs 0 < amp < 1 for ellipticity")
         w = _holder_series(time_grid, alpha, seed)
         prof = (1.0 + amp * w)[:, None, None, None]
     elif kind == "lipschitz":
         prof = 1.0 + 0.5 * amp * np.sin(2 * np.pi * (t - time_grid.t_start) / time_grid.period)
         prof = prof[:, None, None, None]
-    elif kind == "step":
-        if not (0.0 < amp < 2.0):
-            raise CoefficientError("step kind needs 0 < amp < 2 for ellipticity")
+    else:                                            # "step"
         mid = time_grid.t_start + 0.5 * time_grid.period
         prof = np.where(t < mid, 1.0 - 0.5 * amp, 1.0 + 0.5 * amp)[:, None, None, None]
-    else:
-        raise CoefficientError(f"unknown family kind {kind!r}; choose from {FAMILY_KINDS}")
     return CoefficientField(
         time_grid=time_grid,
         mesh=mesh,

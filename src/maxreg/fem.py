@@ -51,7 +51,7 @@ class SpaceMesh:
         if self.n_cells < 4:
             raise MeshError(f"need n_cells >= 4, got {self.n_cells}")
         if not self.x_hi > self.x_lo:
-            raise MeshError("need x_hi > x_lo")
+            raise MeshError(f"need x_hi > x_lo = {self.x_lo!r}, got {self.x_hi!r}")
         for bc in (self.bc_left, self.bc_right):
             if bc not in (DIRICHLET, NEUMANN):
                 raise MeshError(f"unknown boundary tag {bc!r}")

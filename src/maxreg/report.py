@@ -39,7 +39,9 @@ class SeminormRow:
 @dataclass
 class RegularityReport:
     experiment_id: str
-    coefficient: dict = field(default_factory=dict)   # kind, seed, lambda, Lambda, T, M, M_natural
+    # kind, seed, lambda, Lambda, T; the extension constants M and M_natural
+    # are the extension_M and extension_M_natural rows of `seminorms`
+    coefficient: dict = field(default_factory=dict)
     resolutions: dict = field(default_factory=dict)   # n_t, n_x, window_factor
     norms: dict = field(default_factory=dict)
     ratios: dict = field(default_factory=dict)
@@ -75,28 +77,12 @@ def _jsonable(obj):
 
 
 def report_from_dict(d: dict) -> RegularityReport:
-    rows = [
-        SeminormRow(
-            functional=r["functional"],
-            order=r["order"],
-            value=r["value"],
-            achieving_interval=tuple(r["achieving_interval"]) if r["achieving_interval"] else None,
-            resolution=r["resolution"],
-            divergent_flag=r["divergent_flag"],
-            seed=r.get("seed"),
-        )
-        for r in d.get("seminorms", [])
-    ]
-    return RegularityReport(
-        experiment_id=d["experiment_id"],
-        coefficient=d.get("coefficient", {}),
-        resolutions=d.get("resolutions", {}),
-        norms=d.get("norms", {}),
-        ratios=d.get("ratios", {}),
-        seminorms=rows,
-        diagnostics=d.get("diagnostics", {}),
-        schema_version=d.get("schema_version", SCHEMA_VERSION),
-    )
+    """The report whose `to_dict` is d.  An achieving interval comes back as
+    a tuple, and a row written before rows carried a seed loads with none."""
+    rows = [SeminormRow(**{**r, "achieving_interval": tuple(r["achieving_interval"])
+                           if r["achieving_interval"] else None})
+            for r in d.get("seminorms", [])]
+    return RegularityReport(**{**d, "seminorms": rows})
 
 
 def emit_report(report: RegularityReport, path: str, format: str = "json") -> str:

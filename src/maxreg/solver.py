@@ -227,8 +227,6 @@ def cauchy_solve(
     as a discretization check.
     """
     _check_setup(f, A)
-    if window_factor < 4:
-        raise SolverError("window must cover [-T, 3T] at least; refusing smaller")
     n = A.n_t
     T = A.T
     A_full = extend_full(A, window_factor)

@@ -516,7 +516,7 @@ class TestConfigSchema:
         "coefficient.seed=-1", "forcing.seed=-1", "time.n_points=1099511627776",
         "time.window_factor=1099511627776", "analysis.resolutions=[1099511627776]",
         "time.n_points=100", "mesh.n_cells=2", "mesh.n_cells=1099511627776", "time.T=0",
-        "mesh.x_hi=-1",
+        "mesh.x_hi=-1", "coefficient.amp=1.5",
     ])
     @pytest.mark.parametrize("command", ["solve", "analyze", "sweep"])
     def test_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, item):
@@ -613,6 +613,35 @@ class TestConfigSchema:
         assert json.dumps(cli.DEFAULT_CONFIG) == defaults
         assert given == {"analysis": {"alphas": [0.25]}}
 
+    @pytest.mark.parametrize("kind, item", [
+        ("holder", "coefficient.alpha=1.5"), ("step", "coefficient.amp=2.5"),
+        ("constant", "coefficient.value=-1.0"),
+        ("constant", "coefficient.value=[[1,3],[3,1]]")])
+    @pytest.mark.parametrize("command", ["solve", "analyze", "sweep"])
+    def test_kind_ranges_rejected_at_load(self, tmp_path, capsys, monkeypatch, command,
+                                          kind, item):
+        # each passed load and failed only when the run generated the family,
+        # with a message that named neither the key nor the value
+        forbid_runs(monkeypatch)
+        sweep = ["--axis", "resolution", "--values", "64"] if command == "sweep" else []
+        code = run_cli(command, "sqrt-product", *sweep, "--set", f'coefficient.kind="{kind}"',
+                       "--set", item, outdir=tmp_path)
+        err = capsys.readouterr().err
+        key, _, value = item.partition("=")
+        assert_rejected(code, err, key)
+        assert repr(json.loads(value)) in err.strip().splitlines()[-1]
+
+    def test_sweep_point_family_range_is_a_config_error(self, monkeypatch):
+        # amp = 1.5 is in range for lipschitz and out of range for sqrt_product
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cauchy_solve ran for an out-of-range family")
+        monkeypatch.setattr(cli, "cauchy_solve", forbidden)
+        cfg = cli.load_config(bundled_config_path("sqrt-product"),
+                              ['coefficient.kind="lipschitz"', "coefficient.amp=1.5"])
+        point = cli.run_sweep(cfg, "family", ["sqrt_product"])["points"]["sqrt_product"]
+        assert point["error_type"] == "ConfigError"
+        assert "coefficient.amp" in point["error"] and "1.5" in point["error"]
+
     def test_sweep_point_config_is_checked(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("cauchy_solve ran for an unchecked point")
@@ -622,3 +651,50 @@ class TestConfigSchema:
         point = cli.run_sweep(cfg, "resolution", ["64"], workers=2)["points"]["64"]
         assert point["error_type"] == "ConfigError"
         assert "coefficient.mollify_width" in point["error"] and "2.5" in point["error"]
+
+
+SMALL = ["--set", "time.n_points=64", "--set", "mesh.n_cells=8",
+         "--set", "analysis.resolutions=[128,256]"]
+TOP_KEYS = ["experiment_id", "coefficient", "resolutions", "norms", "ratios", "seminorms",
+            "diagnostics", "schema_version"]
+DESCRIPTOR = ["kind", "seed", "lambda", "Lambda", "T"]
+EXTENSION_CHECKS = ["reflected_2T_le_3M", "reflected_3T_le_9M", "M_natural_le_bound",
+                    "M_natural_bound"]
+SOLVE_DIAGNOSTICS = ["residual", "iterations", "guard_mass_fraction"]
+
+
+class TestReportKeyOrder:
+    """Reports are compared byte for byte, so each subcommand's key order is
+    part of its output: at the top level, in the coefficient descriptor, the
+    resolutions and the diagnostics."""
+
+    @pytest.mark.parametrize("argv, coefficient, resolutions, diagnostics", [
+        (["solve", "sqrt-product", *SMALL], DESCRIPTOR, ["n_t", "n_x", "window_factor"],
+         SOLVE_DIAGNOSTICS + EXTENSION_CHECKS),
+        (["solve", "sqrt-product", *SMALL, "--set", "coefficient.mollify_width=2"],
+         DESCRIPTOR, ["n_t", "n_x", "window_factor"],
+         SOLVE_DIAGNOSTICS + ["ladder"] + EXTENSION_CHECKS),
+        (["solve", "autonomous-dirichlet", "--set", "time.n_points=64",
+          "--set", "mesh.n_cells=8"], DESCRIPTOR, ["n_t", "n_x", "window_factor"],
+         SOLVE_DIAGNOSTICS + ["oracle_relative_deviation"]),
+        (["analyze", "sqrt-product", *SMALL], DESCRIPTOR, ["n_t", "n_x"], EXTENSION_CHECKS),
+        (["analyze", "sqrt-product", *SMALL, "--set", "coefficient.mollify_width=2"],
+         DESCRIPTOR, ["n_t", "n_x"], ["ladder"] + EXTENSION_CHECKS),
+        (["extend", "sqrt-product", *SMALL], DESCRIPTOR, ["n_t", "n_x", "window_factor"],
+         ["extended_field"] + EXTENSION_CHECKS),
+        (["commutator", "sqrt-product", *SMALL, "--set", "analysis.alphas=[0.25,0.5]"],
+         ["kind", "seed"], ["n_t", "n_x"], ["resolutions", "alpha_0.25", "alpha_0.5"]),
+        (["commutator", "sqrt-product", *SMALL, "--set", "coefficient.mollify_width=2"],
+         ["kind", "seed"], ["n_t", "n_x"], ["ladder", "resolutions", "alpha_0.5"]),
+    ])
+    def test_key_order(self, tmp_path, argv, coefficient, resolutions, diagnostics):
+        assert run_cli(*argv, outdir=tmp_path) == EXIT_OK
+        with open(tmp_path / f"{argv[1]}.report.json") as fh:
+            rep = json.load(fh)
+        assert list(rep) == TOP_KEYS
+        assert list(rep["coefficient"]) == coefficient
+        assert list(rep["resolutions"]) == resolutions
+        assert list(rep["diagnostics"]) == diagnostics
+        for row in rep["seminorms"]:
+            assert list(row) == ["functional", "order", "value", "achieving_interval",
+                                 "resolution", "divergent_flag", "seed"]

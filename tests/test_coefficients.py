@@ -15,8 +15,10 @@ from maxreg.coefficients import (
     FAMILY_KINDS,
     CoefficientField,
     CoefficientError,
+    FamilyError,
     NotElliptic,
     certify_ellipticity,
+    check_family,
     cutoff_profile,
     extend_full,
     extend_reflect,
@@ -385,6 +387,31 @@ class TestFamilies:
     def test_sqrt_product_needs_small_amp(self):
         with pytest.raises(CoefficientError):
             generate_family("sqrt_product", GRID, MESH, amp=1.5)
+
+    @pytest.mark.parametrize("kind, params, param", [
+        ("fractal", {}, "kind"),
+        ("holder", {"space_profile": "wavy"}, "space_profile"),
+        ("step", {"value": [[1.0, 2.0]]}, "value"),
+        ("sqrt_product", {"amp": 1.0}, "amp"),
+        ("holder", {"amp": 0.0}, "amp"),
+        ("holder", {"alpha": 1.0}, "alpha"),
+        ("step", {"amp": 2.0}, "amp"),
+        ("constant", {"value": -1.0}, "value"),
+        ("constant", {"value": [[1.0, 3.0], [3.0, 1.0]]}, "value"),
+    ])
+    def test_family_ranges_name_the_parameter(self, kind, params, param):
+        # generate_family asks the same check first, so nothing is sampled
+        with pytest.raises(FamilyError) as err:
+            check_family(kind, **params)
+        assert err.value.param == param
+        with pytest.raises(FamilyError):
+            generate_family(kind, GRID, MESH, **params)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("lipschitz", {"amp": 1.5}), ("step", {"amp": 1.9}),
+        ("constant", {"value": [[2.0, 0.5], [0.0, 3.0]]}), ("holder", {"value": [[1.0]]})])
+    def test_family_ranges_accept(self, kind, params):
+        check_family(kind, **params)
 
     def test_deterministic_in_seed(self):
         A = generate_family("holder", GRID, MESH, seed=13)

@@ -81,6 +81,16 @@ class TestRoundTrip:
         again = report_from_dict(rep.to_dict())
         assert again.to_dict() == rep.to_dict()
 
+    def test_row_without_seed_loads_with_none(self):
+        # reports written before rows carried a seed still load
+        d = sample_report().to_dict()
+        for row in d["seminorms"]:
+            del row["seed"]
+        again = report_from_dict(d)
+        assert [r.seed for r in again.seminorms] == [None, None]
+        assert again.seminorms[0].achieving_interval == (-0.25, 0.25)
+        assert again.to_dict()["seminorms"] == [{**row, "seed": None} for row in d["seminorms"]]
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(sample_report(), str(tmp_path / "r.xml"),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import maxreg.fem as fem
 import maxreg.norms as norms
 import maxreg.solver as solver
-from maxreg.coefficients import CoefficientField, generate_family, mollify
+from maxreg.coefficients import CoefficientError, CoefficientField, generate_family, mollify
 from maxreg.fem import SpaceMesh, laplace_eigenpairs
 from maxreg.norms import SpaceTimeField, dual_norm_estar, energy_norm, l2h_norm, zero_field
 from maxreg.solver import (
@@ -452,6 +452,16 @@ class TestCauchySolve:
             vals.append(res.v0_norm / l2h_norm(res.line_solution))
         assert vals[0] <= 1e-3
         assert vals[1] < vals[0]
+
+    def test_window_below_four_is_extend_fulls_error(self, monkeypatch):
+        # the window rule is extend_full's; it holds before any line solve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_line ran for a window below 4")
+        monkeypatch.setattr(solver, "solve_line", forbidden)
+        grid = TimeGrid(0.0, 1.0, 64)
+        with pytest.raises(CoefficientError, match="window"):
+            cauchy_solve(generate_family("constant", grid, MESH), sine_forcing(grid),
+                         window_factor=2)
 
     def test_guard_band_mass_negligible(self):
         grid = TimeGrid(0.0, 1.0, 256)
