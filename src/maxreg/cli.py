@@ -38,6 +38,7 @@ from .coefficients import (
     FAMILY_KINDS,
     CoefficientField,
     FamilyError,
+    NotElliptic,
     check_family,
     extend_full,
     extend_reflect,
@@ -237,7 +238,7 @@ def _check_ranges(cfg: dict) -> dict:
             ("analysis.holder_alpha", frac_order, [a["holder_alpha"]]),
             ("analysis.dini_q", check_dini_exponent, a["dini_q"]),
             ("time.n_points", lambda k: TimeGrid(0.0, 1.0, k), [n]),
-            ("time.T", lambda T: TimeGrid(0.0, T, n), [cfg["time"]["T"]]),
+            ("time.T", _check_period, [cfg["time"]["T"]]),
             ("analysis.resolutions", lambda k: TimeGrid(0.0, 1.0, k), a["resolutions"])):
         for v in values:
             try:
@@ -245,6 +246,13 @@ def _check_ranges(cfg: dict) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
     return cfg
+
+
+def _check_period(T) -> None:
+    """Raise ValueError unless T > 0, the rule that TimeGrid(0, T, n) states
+    as t_end > t_start, in the words of the config key."""
+    if not T > 0:
+        raise ValueError(f"need T > 0, got {T!r}")
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> dict:
@@ -287,13 +295,21 @@ def _build_coefficient(cfg: dict, grid: TimeGrid, mesh: SpaceMesh) -> Coefficien
         if A.mesh != mesh:
             raise ConfigError("coefficient file mesh does not match the mesh spec")
         return A
-    A = generate_family(
-        c["kind"], grid, mesh,
-        seed=c["seed"], amp=c["amp"], alpha=c["alpha"], t0=c["t0"],
-        value=c["value"], space_profile=c["space_profile"],
-    )
-    if c["mollify_width"]:
-        A = mollify(A, c["mollify_width"])
+    try:
+        A = generate_family(
+            c["kind"], grid, mesh,
+            seed=c["seed"], amp=c["amp"], alpha=c["alpha"], t0=c["t0"],
+            value=c["value"], space_profile=c["space_profile"],
+        )
+        if c["mollify_width"]:
+            A = mollify(A, c["mollify_width"])
+    except NotElliptic as exc:
+        # `check_family` passed, so only the sampled field's certificate sees
+        # it: amp, T and t0 decide it together (see coefficients._AMP_BOUNDS)
+        raise ConfigError(
+            f"coefficient.amp: {c['kind']} with amp {c['amp']!r} is not elliptic for "
+            f"time.T = {cfg['time']['T']!r} and coefficient.t0 = {json.dumps(c['t0'])}: "
+            f"{exc}") from None
     return A
 
 

@@ -291,20 +291,26 @@ def tridiag_factor(band: np.ndarray) -> np.ndarray:
     return band
 
 
-def batched_tridiag_solve(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def batched_tridiag_solve(factors: np.ndarray, rhs: np.ndarray, *,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Solve the systems factored by `tridiag_factor` for rhs (n, ...),
     one system per trailing index: two bidiagonal sweeps along axis 0 and
-    a diagonal scaling."""
-    return _sweep(factors, rhs)
+    a diagonal scaling.  The solution lands in `out`, which may be `rhs`
+    itself, or in a new C-ordered array."""
+    return _sweep(factors, rhs, out)
 
 
-def _sweep(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _sweep(factors: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The solve of `batched_tridiag_solve`, shared with `mass_solve` under a
     private name so that bench/tracing.py counts the mode-batched solves
     only.  factors (2, n, ...) broadcast against rhs (n, ...)."""
     pad = (1,) * (rhs.ndim + 1 - factors.ndim)
     inv_d, mult = factors.reshape(factors.shape + pad)
-    y = np.array(rhs, dtype=np.result_type(factors, rhs), order="C")
+    if out is None:
+        y = np.array(rhs, dtype=np.result_type(factors, rhs), order="C")
+    else:
+        y = out
+        np.copyto(y, rhs)       # a no-op when they are the same memory
     row = np.empty_like(y[0])       # each row update lands here, not in a temporary
     for k in range(y.shape[0] - 1):
         np.multiply(mult[k], y[k], out=row)

@@ -3,9 +3,12 @@ Methods for Sparse Linear Systems, 2003, section 9.3).
 
 Right-preconditioned GMRES(restart) on complex128 vectors: it solves
 A M y = b and returns x = M y, so the residual it estimates and stops on is
-that of A x = b itself.  Arnoldi runs modified Gram-Schmidt on BLAS level-1
-calls, one `zdotc` and one in-place `zaxpy` per projection, and writes each
-normalised vector straight into a preallocated basis of restart + 1 rows.
+that of A x = b itself.  The operators write into arrays the loop hands
+them, and x overwrites b, so an iteration allocates no vector: the
+preconditioner's output lands in one work vector and the matvec's in the
+next row of a preallocated basis of restart + 1 rows, where Arnoldi runs
+modified Gram-Schmidt on BLAS level-1 calls, one `zdotc` and one in-place
+`zaxpy` per projection, and normalises it.
 Givens rotations reduce the Hessenberg matrix H, and a new vector shorter
 than eps times the vector it came from is a happy breakdown.  A restart
 costs no matvec: the new residual is the combination V_{k+1} (beta e_1 - H y)
@@ -36,7 +39,11 @@ def gmres(A, b, *, M, rtol, restart, maxiter, callback):
     """(x, info) with ||b - A x|| <= rtol ||b|| and info = 0, or
     info = maxiter once maxiter restart cycles have run out.
 
-    A.matvec must return a new array: the loop orthogonalises it in place.
+    x is returned in b's storage: like the B of LAPACK's ?gesv, a complex128
+    b is overwritten with the iterate.  The operators write into a given
+    array: M.matvec(v, out=w) and A.matvec(v, out=w) return w holding M v
+    and A v.  M's out may be its input, A's out may not.  The loop holds the
+    basis and one work vector and allocates no vector per iteration.
     callback(||r|| / ||b||) runs once per iteration, that is once per matvec,
     with the Arnoldi estimate of the unpreconditioned residual.  A cycle of k
     iterations costs k matvecs and k + 1 preconditioner solves, the last one
@@ -47,39 +54,39 @@ def gmres(A, b, *, M, rtol, restart, maxiter, callback):
     true residual: a caller that needs it measures it."""
     if restart < 1 or maxiter < 1:
         raise ValueError("restart and maxiter must be at least 1")
-    precond = M.matvec
-    b = np.asarray(b, dtype=complex)
-    x = np.zeros_like(b)
-    beta = b_norm = _norm(b)
+    precond, matvec = M.matvec, A.matvec
+    x = np.asarray(b, dtype=complex)
+    beta = b_norm = _norm(x)
     if b_norm == 0.0:
         return x, 0
     tol = rtol * b_norm
     eps = np.finfo(float).eps
-    restart = min(restart, b.size)
-    # zeros: a breakdown leaves its row unwritten, and the zero it puts in H
-    # then multiplies zeros or an old basis vector, never uninitialised memory
-    V = np.zeros((restart + 1, b.size), dtype=complex)
+    restart = min(restart, x.size)
+    V = np.empty((restart + 1, x.size), dtype=complex)
     H = np.zeros((restart + 1, restart), dtype=complex)   # A M V_k = V_{k+1} H
     R = np.zeros((restart, restart), dtype=complex)       # H after the rotations
     rotations = np.zeros((restart, 2), dtype=complex)
-    np.multiply(b, 1.0 / beta, out=V[0])
+    work = np.empty_like(x)
+    np.multiply(x, 1.0 / beta, out=V[0])
+    x.fill(0.0)
     for _ in range(maxiter):
         g = np.zeros(restart + 1, dtype=complex)
         g[0] = beta
         for k in range(restart):
-            w = A.matvec(precond(V[k]))
+            w = matvec(precond(V[k], out=work), out=V[k + 1])
             w_norm = _norm(w)
             for i in range(k + 1):
                 H[i, k] = h = zdotc(V[i], w)
-                w = zaxpy(V[i], w, a=-h)
+                zaxpy(V[i], w, a=-h)
             H[k + 1, k] = h = _norm(w)
             breakdown = h <= eps * w_norm
             if breakdown:
-                # A M V_k lies in V_k: x is exact on this space
+                # A M V_k lies in V_k: x is exact on this space, and the zero
+                # in H multiplies a zero row
                 H[k + 1, k] = 0.0
+                w.fill(0.0)
             else:
-                np.multiply(w, 1.0 / h, out=V[k + 1])
-            del w       # free it before the next matvec allocates its output
+                np.multiply(w, 1.0 / h, out=w)
             col = H[: k + 2, k].copy()
             for i, (c, s) in enumerate(rotations[:k]):
                 top, bottom = col[i], col[i + 1]
@@ -93,15 +100,15 @@ def gmres(A, b, *, M, rtol, restart, maxiter, callback):
                 break
         k += 1
         # the least-squares solution, its update of x, and the residual
-        # b - A x = V_{k+1} (beta e_1 - H y) of the Arnoldi relation
+        # b - A x = V_{k+1} (beta e_1 - H y) of the Arnoldi relation, each
+        # in the work vector
         y = solve_triangular(R[:k, :k], g[:k])
-        x += precond(y @ V[:k])
+        x += precond(np.matmul(y, V[:k], out=work), out=work)
         coef = -(H[: k + 1, :k] @ y)
         coef[0] += beta
-        r = coef @ V[: k + 1]
+        r = np.matmul(coef, V[: k + 1], out=work)
         beta = _norm(r)
         if beta <= tol:
             break
         np.multiply(r, 1.0 / beta, out=V[0])
-        del r           # V[0] holds it now
     return x, 0 if beta <= tol else maxiter

@@ -154,13 +154,13 @@ def solve_line(
     mx = np.empty((rows, nt), dtype=complex)
     tmp = np.empty_like(mx)
 
-    def L_mv(x):
-        # z * (M x) + fft(K(a) ifft(x)), in the one array the ifft allocates:
-        # the stiffness action and the fft overwrite it, and the shifted mass
-        # action is added a block of dof rows at a time, in the order of
-        # fem.tridiag_apply, (d x_i + s x_{i+1}) + s x_{i-1}
+    def L_mv(x, out=None):
+        # z * (M x) + fft(K(a) ifft(x)), in the one array the ifft writes,
+        # `out` or a new one: the stiffness action and the fft overwrite it,
+        # and the shifted mass action is added a block of dof rows at a time,
+        # in the order of fem.tridiag_apply, (d x_i + s x_{i+1}) + s x_{i-1}
         xh = x.reshape(nd, nt)
-        y = np.fft.ifft(xh, norm="ortho")
+        y = np.fft.ifft(xh, norm="ortho", out=None if out is None else out.reshape(nd, nt))
         fem.stiffness_apply(mesh, a_cells, y.T, out=y.T)
         np.fft.fft(y, norm="ortho", out=y)
         for i0 in range(0, nd, rows):
@@ -177,21 +177,27 @@ def solve_line(
             y[i0:i1] += m
         return y.ravel()
 
-    def P_mv(x):
-        return fem.batched_tridiag_solve(factors, x.reshape(nd, nt)).ravel()
+    def P_mv(x, out=None):
+        return fem.batched_tridiag_solve(
+            factors, x.reshape(nd, nt), out=None if out is None else out.reshape(nd, nt)).ravel()
 
     N = nt * nd
     Lop = spla.LinearOperator((N, N), matvec=L_mv, dtype=complex)
     Pop = spla.LinearOperator((N, N), matvec=P_mv, dtype=complex)
     history = []
-    b = np.fft.fft(fem.mass_apply(mesh, f.values).T, norm="ortho").ravel()
-    # maxiter counts restart cycles
-    x, info = spla.gmres(Lop, b, M=Pop, rtol=min(tol * 1e-2, 1e-10),
+
+    def rhs():
+        return np.fft.fft(fem.mass_apply(mesh, f.values).T, norm="ortho").ravel()
+
+    # gmres overwrites the right-hand side with x; maxiter counts restart cycles
+    x, info = spla.gmres(Lop, rhs(), M=Pop, rtol=min(tol * 1e-2, 1e-10),
                          restart=GMRES_RESTART, maxiter=maxiter, callback=history.append)
     u = np.fft.ifft(x.reshape(nd, nt), norm="ortho").T
-    # L_mv(x) - b is the spectrum of M(Lu - f); by Parseval the squared
+    # L_mv(x) - rhs() is the spectrum of M(Lu - f); by Parseval the squared
     # L2(H) norm of Lu - f is dt times the sum of (M^{-1} r | r) over modes
-    r = (L_mv(x) - b).reshape(nd, nt).T
+    r = L_mv(x)
+    r -= rhs()
+    r = r.reshape(nd, nt).T
     rel_res = float(np.sqrt(max(grid.dt * np.vdot(r, fem.mass_solve(mesh, r)).real, 0.0))) / fnorm
     diag_out = SolveDiagnostics(residual=rel_res, iterations=len(history))
     if info != 0 or rel_res > tol:

@@ -642,6 +642,37 @@ class TestConfigSchema:
         assert point["error_type"] == "ConfigError"
         assert "coefficient.amp" in point["error"] and "1.5" in point["error"]
 
+    @pytest.mark.parametrize("value", ["0", "-1", "0.0"])
+    def test_period_not_positive_is_stated_for_time_T(self, tmp_path, capsys, monkeypatch,
+                                                      value):
+        # TimeGrid's own words spoke of t_end and t_start, which no key names
+        forbid_runs(monkeypatch)
+        code = run_cli("solve", "sqrt-product", "--set", f"time.T={value}", outdir=tmp_path)
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.strip().splitlines()[-1] == f"error: time.T: need T > 0, got {value}"
+
+    @pytest.mark.parametrize("items, kind, amp", [
+        (['coefficient.kind="lipschitz"', "coefficient.amp=2.5"], "lipschitz", "2.5"),
+        (['coefficient.space_profile="cosine"', "coefficient.amp=0.9", "time.T=10"],
+         "sqrt_product", "0.9"),
+        (['coefficient.space_profile="cosine"', "coefficient.amp=0.9", "coefficient.t0=20.0",
+          "coefficient.mollify_width=2"], "sqrt_product", "0.9")])
+    def test_non_elliptic_family_names_amp(self, tmp_path, capsys, items, kind, amp):
+        # in range for check_family, but the sampled field's certificate is
+        # not positive: the error names the key, the kind and its parameters
+        sets = [arg for item in items for arg in ("--set", item)]
+        code = run_cli("analyze", "sqrt-product", *sets, outdir=tmp_path)
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert code == EXIT_VALIDATION
+        assert last.startswith(f"error: coefficient.amp: {kind} with amp {amp} ")
+        for part in ("time.T = ", "coefficient.t0 = ", "certified lower bound"):
+            assert part in last
+        cfg = cli.load_config(bundled_config_path("sqrt-product"), items)
+        point = cli.run_sweep(cfg, "resolution", ["64"])["points"]["64"]
+        assert point["error_type"] == "ConfigError"
+        assert point["error"].startswith("coefficient.amp: ") and amp in point["error"]
+
     def test_sweep_point_config_is_checked(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("cauchy_solve ran for an unchecked point")

@@ -320,6 +320,13 @@ class TestBatchedTridiag:
         got = batched_tridiag_solve(factors, rhs)
         assert np.array_equal(got, sweep_reference(factors, rhs))
         assert got.dtype == np.complex128
+        # into another array, and in place: the same solution bit for bit
+        out = np.empty_like(rhs)
+        assert batched_tridiag_solve(factors, rhs, out=out) is out
+        assert np.array_equal(out, got)
+        own = rhs.copy()
+        assert batched_tridiag_solve(factors, own, out=own) is own
+        assert np.array_equal(own, got)
 
     @given(st.integers(4, 24), BCS, BCS,
            st.sampled_from([(), (5,), (3, 4)]), st.booleans(), st.booleans(),

@@ -308,15 +308,15 @@ class TestSolveLine:
         gmres = solver.spla.gmres
 
         def counting_gmres(A, b, *, M, **kwargs):
-            def p_mv(x):
+            def p_mv(x, out=None):
                 before = calls.copy()
-                out = M.matvec(x)
+                out = M.matvec(x, out=out)
                 precond.append(calls - before)
                 return out
 
-            def l_mv(x):
+            def l_mv(x, out=None):
                 calls.update(["matvec"])
-                return A.matvec(x)
+                return A.matvec(x, out=out)
             return gmres(solver.spla.LinearOperator(A.shape, matvec=l_mv, dtype=A.dtype), b,
                          M=solver.spla.LinearOperator(M.shape, matvec=p_mv, dtype=M.dtype),
                          **kwargs)
@@ -380,6 +380,16 @@ class TestLineMatvec:
             tracemalloc.stop()
         assert y.nbytes == 16 * x.size
         assert peak <= y.nbytes + 3 * 16 * fem.BLOCK_SAMPLES
+        # into a given array: the same bits, and only the blocks allocated
+        out = np.empty_like(x)
+        tracemalloc.start()
+        try:
+            got = matvec(x, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(got, out) and np.array_equal(got, y)
+        assert peak <= 3 * 16 * fem.BLOCK_SAMPLES
 
 
 def hard_case(name, n=128, n_cells=32):
