@@ -32,8 +32,14 @@ from .timefourier import GridError, twist_symbol
 # nothing.  Restarted GMRES(m) converges for every m >= 1 when the operator's
 # symmetric part is positive definite (Eisenstat, Elman & Schultz, SIAM J.
 # Numer. Anal. 20, 1983).  A line solve on n_t samples then holds
-# GMRES_RESTART + 1 basis vectors of 16 * n_t * n_dofs bytes.
-GMRES_RESTART = 6
+# GMRES_RESTART + 1 basis vectors of 16 * n_t * n_dofs bytes, so m is a
+# memory choice, taken by measurement.  Iterations of the hard cases of
+# tests/test_solver.py at m = 6/5/4/3/2: step 45/48/46/45/51, neumann
+# 52/53/56/60/65, complex_holder 26 at every m, window8 35/36/35/35/34; and
+# of a traced seed-0 pass of the benchmark's sweep-small, 313/314/329 at
+# m = 6/5/4.  m = 4 saves one more vector but costs sweep-small about 5% more
+# iterations, and its wall time read higher than at m = 6 in 8 of 9 runs.
+GMRES_RESTART = 5
 
 
 class SolverError(RuntimeError):
@@ -128,11 +134,14 @@ def solve_line(
     so GMRES sees the time-domain system's Krylov spaces.  Right
     preconditioning makes the residual history that of the unpreconditioned
     system; each iteration costs one matvec, and each restart cycle one more
-    preconditioner solve but no matvec (maxreg.krylov).  A matvec allocates
-    only its result: the inverse FFT lands there, the stiffness action and
+    preconditioner solve but no matvec (maxreg.krylov).  Both operators
+    write into the array GMRES hands them, so an iteration allocates no line
+    vector: the matvec's inverse FFT lands there, the stiffness action and
     the forward FFT overwrite it in place, and z_k M x_k is added over blocks
-    of dof rows of fem.BLOCK_SAMPLES samples, which stay in cache.  Fails
-    loudly when the L2(H) relative residual of (theta + L)u = f exceeds tol."""
+    of dof rows of fem.BLOCK_SAMPLES samples, which stay in cache; the mode
+    solve sweeps in place.  GMRES overwrites the spectrum of Mf with x, so
+    the residual check computes it once more.  Fails loudly when the L2(H)
+    relative residual of (theta + L)u = f exceeds tol."""
     _check_setup(f, A)
     theta = complex(theta)
     if theta.real <= 0:

@@ -408,10 +408,10 @@ def hard_case(name, n=128, n_cells=32):
 class TestRestartedGmres:
     def test_line_solve_peak_is_a_few_krylov_vectors(self):
         # one vector of the time spectrum takes 16 * n_t * n_dofs bytes.  With
-        # GMRES_RESTART = 6 the basis holds 7 of them and the whole solve
-        # peaks near 15.3 (factors, operands, the iterate and a matvec's
-        # output make the rest); scipy's loop on the same basis peaked near
-        # 17.6, and its default 21-vector basis near 32
+        # GMRES_RESTART = 5 the basis holds 6 of them and the whole solve
+        # peaks near 12.3: the factors, the operands, the iterate in the
+        # right-hand side's storage and the loop's work vector make the rest,
+        # and no iteration allocates one
         A = generate_family("step", WGRID, MESH, seed=3)
         f = sine_forcing(WGRID)
         solve_line(A, f)
@@ -422,7 +422,7 @@ class TestRestartedGmres:
         finally:
             tracemalloc.stop()
         assert diag.iterations > solver.GMRES_RESTART
-        assert peak <= 16 * 16 * WGRID.n_points * MESH.n_dofs
+        assert peak <= 13 * 16 * WGRID.n_points * MESH.n_dofs
 
     @pytest.mark.filterwarnings("ignore:wrap-around guard band")
     @pytest.mark.parametrize("name", ["step", "complex_holder", "neumann", "window8"])
