@@ -36,9 +36,9 @@ from .timefourier import GridError, twist_symbol
 # memory choice, taken by measurement.  Iterations of the hard cases of
 # tests/test_solver.py at m = 6/5/4/3/2: step 45/48/46/45/51, neumann
 # 52/53/56/60/65, complex_holder 26 at every m, window8 35/36/35/35/34; and
-# of a traced seed-0 pass of the benchmark's sweep-small, 313/314/329 at
-# m = 6/5/4.  m = 4 saves one more vector but costs sweep-small about 5% more
-# iterations, and its wall time read higher than at m = 6 in 8 of 9 runs.
+# of a seed-0 pass of the benchmark's sweep-small, 313/314/329 at m = 6/5/4.
+# m = 4 saves one more vector but costs sweep-small about 5% more iterations,
+# and its wall time read higher than at m = 5 in 4 of 5 alternating pairs.
 GMRES_RESTART = 5
 
 
