@@ -238,7 +238,7 @@ def _check_ranges(cfg: dict) -> dict:
             ("analysis.holder_alpha", frac_order, [a["holder_alpha"]]),
             ("analysis.dini_q", check_dini_exponent, a["dini_q"]),
             ("time.n_points", lambda k: TimeGrid(0.0, 1.0, k), [n]),
-            ("time.T", _check_period, [cfg["time"]["T"]]),
+            ("time.T", lambda T: TimeGrid(0.0, T, n), [cfg["time"]["T"]]),
             ("analysis.resolutions", lambda k: TimeGrid(0.0, 1.0, k), a["resolutions"])):
         for v in values:
             try:
@@ -246,13 +246,6 @@ def _check_ranges(cfg: dict) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
     return cfg
-
-
-def _check_period(T) -> None:
-    """Raise ValueError unless T > 0, the rule that TimeGrid(0, T, n) states
-    as t_end > t_start, in the words of the config key."""
-    if not T > 0:
-        raise ValueError(f"need T > 0, got {T!r}")
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> dict:

@@ -77,16 +77,16 @@ def gmres(A, b, *, M, rtol, restart, maxiter, callback):
             w_norm = _norm(w)
             for i in range(k + 1):
                 H[i, k] = h = zdotc(V[i], w)
-                zaxpy(V[i], w, a=-h)
+                w = zaxpy(V[i], w, a=-h)
             H[k + 1, k] = h = _norm(w)
             breakdown = h <= eps * w_norm
             if breakdown:
                 # A M V_k lies in V_k: x is exact on this space, and the zero
                 # in H multiplies a zero row
                 H[k + 1, k] = 0.0
-                w.fill(0.0)
+                V[k + 1].fill(0.0)
             else:
-                np.multiply(w, 1.0 / h, out=w)
+                np.multiply(w, 1.0 / h, out=V[k + 1])
             col = H[: k + 2, k].copy()
             for i, (c, s) in enumerate(rotations[:k]):
                 top, bottom = col[i], col[i + 1]

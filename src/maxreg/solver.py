@@ -186,9 +186,8 @@ def solve_line(
             y[i0:i1] += m
         return y.ravel()
 
-    def P_mv(x, out=None):
-        return fem.batched_tridiag_solve(
-            factors, x.reshape(nd, nt), out=None if out is None else out.reshape(nd, nt)).ravel()
+    def P_mv(x, out):
+        return fem.batched_tridiag_solve(factors, x.reshape(nd, nt), out=out.reshape(nd, nt)).ravel()
 
     N = nt * nd
     Lop = spla.LinearOperator((N, N), matvec=L_mv, dtype=complex)

@@ -42,7 +42,7 @@ class UniformGrid:
 
     def __post_init__(self):
         if not self.t_end > self.t_start:
-            raise GridError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
+            raise GridError(f"need period T = t_end - t_start > 0, got T = {self.period!r}")
         if not isinstance(self.n_points, Integral) or isinstance(self.n_points, bool):
             raise GridError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:

@@ -645,12 +645,13 @@ class TestConfigSchema:
     @pytest.mark.parametrize("value", ["0", "-1", "0.0"])
     def test_period_not_positive_is_stated_for_time_T(self, tmp_path, capsys, monkeypatch,
                                                       value):
-        # TimeGrid's own words spoke of t_end and t_start, which no key names
+        # TimeGrid states its rule by the period, the quantity the key sets
         forbid_runs(monkeypatch)
         code = run_cli("solve", "sqrt-product", "--set", f"time.T={value}", outdir=tmp_path)
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
-        assert err.strip().splitlines()[-1] == f"error: time.T: need T > 0, got {value}"
+        assert err.strip().splitlines()[-1] == (
+            f"error: time.T: need period T = t_end - t_start > 0, got T = {float(value)!r}")
 
     @pytest.mark.parametrize("items, kind, amp", [
         (['coefficient.kind="lipschitz"', "coefficient.amp=2.5"], "lipschitz", "2.5"),

@@ -162,6 +162,19 @@ class TestGmres:
         assert Aop.calls > 4 and not any(seen)
         assert all(out is not None for out in Aop.outs + M.outs)
 
+    def test_operators_that_return_new_arrays_give_the_same_bits(self):
+        # the loop reads what the operators return, so one that leaves `out`
+        # untouched still fills the basis
+        A, d, b = near_identity(30, 5)
+        x, info = gmres(Counting(lambda v, out=None: np.matmul(A, v, out=out), 30), b.copy(),
+                        M=diagonal(d), rtol=1e-12, restart=4, maxiter=100, callback=[].append)
+        fresh_x, fresh_info = gmres(
+            Counting(lambda v, out=None: A @ v, 30), b.copy(),
+            M=Counting(lambda v, out=None: d * v, 30), rtol=1e-12, restart=4, maxiter=100,
+            callback=[].append)
+        assert info == fresh_info == 0
+        assert np.array_equal(x, fresh_x)
+
     def test_breakdown_below_the_rounding_floor_restarts(self):
         # b = 0.3 e_1 is an eigenvector of eigenvalue 1/3: the first iteration
         # breaks down, and rounding leaves a residual above rtol = 0, so the
